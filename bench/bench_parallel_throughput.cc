@@ -7,10 +7,10 @@
 // queries, monolithic engine) and emits BENCH_topk_pruning.json with QPS
 // for both modes, the skip counters, and docs scored — the artifact CI
 // uploads to show pruning actually skips blocks without slowing the
-// unpruned path. Finally the top-k operator sweep runs the four physical
-// operators (MaxScore, HRJN, Fagin TA, Fagin NRA) head-to-head via
-// SearchOptions::topk_strategy — each run bit-checked against the
-// full-ranking prefix — and emits BENCH_topk_operators.json.
+// unpruned path. Finally the top-k operator sweep runs the planner's three
+// choices (MaxScore, HRJN, full ranking + truncate) head-to-head — each
+// run bit-checked against the full-ranking prefix — and emits
+// BENCH_topk_operators.json.
 //
 // Trace-overhead guard mode (GRAFT_BENCH_TRACE_OVERHEAD=1): instead of the
 // sweep, measures the observability layer's cost and emits
@@ -516,51 +516,50 @@ int RunPruningSweep(const graft::index::InvertedIndex& index) {
   return 0;
 }
 
-// ---- Top-k operator sweep (TA / NRA vs MaxScore / HRJN) ------------------
+// ---- Top-k operator sweep (MaxScore vs HRJN vs full ranking) ------------
 
-// Head-to-head over the four top-k physical operators, selected through
-// SearchOptions::topk_strategy on the same pure-keyword query mix as the
-// pruning sweep. Every run is checked bit-identical against the
-// full-ranking + truncate reference before it is timed — the sweep is also
-// a soundness self-check, so a threshold-bound regression fails the bench
-// instead of shipping a JSON of fast-but-wrong numbers.
+// Head-to-head over the planner's three top-k choices on the same pure-
+// keyword query mix as the pruning sweep: block-max pruned top-k
+// (MaxScore), the threshold rank engine (HRJN, pruning disabled), and full
+// ranking + truncate (rank processing disabled). The full arm is the
+// bit-identity reference: every run is checked against it before it is
+// timed — the sweep is also a soundness self-check, so a threshold-bound
+// regression fails the bench instead of shipping a JSON of fast-but-wrong
+// numbers.
 struct OperatorResult {
   const char* scheme;
   const char* name;
   size_t k;
-  const char* op;  // "maxscore", "hrjn", "ta", "nra"
+  const char* op;  // "maxscore", "hrjn", "full"
   double qps;
-  uint64_t sorted_accesses;
-  uint64_t random_accesses;
-  uint64_t bound_refinements;
   uint64_t docs_scored;
   uint64_t docs_pruned;
+  uint64_t blocks_skipped;
 };
 
 int RunTopKOperatorSweep(const graft::index::InvertedIndex& index) {
   using namespace graft;
   core::Engine engine(&index);
   constexpr const char* kSchemes[] = {"AnySum", "Lucene"};
-  struct Strategy {
-    const char* op;
-    core::TopKStrategy strategy;
+  struct Arm {
+    const char* op;  // the SearchResult::topk_operator the arm must run
+    bool allow_rank_processing;
     bool allow_pruning;
   };
-  constexpr Strategy kStrategies[] = {
-      {"maxscore", core::TopKStrategy::kAuto, true},
-      {"hrjn", core::TopKStrategy::kAuto, false},
-      {"ta", core::TopKStrategy::kThreshold, false},
-      {"nra", core::TopKStrategy::kNra, false},
+  constexpr Arm kArms[] = {
+      {"maxscore", true, true},
+      {"hrjn", true, false},
+      {"full", false, false},
   };
 
   std::vector<OperatorResult> results;
   std::printf("\nTop-k operator sweep (monolithic; every run bit-checked "
               "against full ranking + truncate)\n");
-  std::printf("%8s %5s %5s %9s | %12s | %10s %10s %10s %10s\n", "scheme",
-              "query", "k", "operator", "QPS", "sorted", "random", "bounds",
-              "scored");
+  std::printf("%8s %5s %5s %9s | %12s | %10s %10s %10s\n", "scheme",
+              "query", "k", "operator", "QPS", "scored", "pruned",
+              "skipped");
   std::printf("-------------------------------------------------------------"
-              "---------------------------\n");
+              "-------------------\n");
 
   for (const char* scheme : kSchemes) {
     for (const PruningQuery& q : kPruningQueries) {
@@ -577,30 +576,31 @@ int RunTopKOperatorSweep(const graft::index::InvertedIndex& index) {
           return 1;
         }
 
-        for (const Strategy& strategy : kStrategies) {
+        for (const Arm& arm : kArms) {
           core::SearchOptions options;
           options.top_k = k;
-          options.topk_strategy = strategy.strategy;
-          options.allow_block_max_pruning = strategy.allow_pruning;
+          options.allow_rank_processing = arm.allow_rank_processing;
+          options.allow_block_max_pruning = arm.allow_pruning;
 
           auto run = engine.Search(q.text, scheme, options);
           if (!run.ok()) {
-            std::fprintf(stderr, "%s/%s failed: %s\n", q.name, strategy.op,
+            std::fprintf(stderr, "%s/%s failed: %s\n", q.name, arm.op,
                          run.status().ToString().c_str());
             return 1;
           }
-          if (run->topk_operator != strategy.op) {
+          const std::string ran =
+              run->topk_operator.empty() ? "full" : run->topk_operator;
+          if (ran != arm.op) {
             std::fprintf(stderr,
                          "%s/%s: expected operator %s but the engine ran "
                          "'%s' (gate regression?)\n",
-                         q.name, scheme, strategy.op,
-                         run->topk_operator.c_str());
+                         q.name, scheme, arm.op, ran.c_str());
             return 1;
           }
           // Bit-identity self-check: same count, same score sequence.
           if (run->results.size() != reference->results.size()) {
             std::fprintf(stderr, "%s/%s: %zu results vs reference %zu\n",
-                         q.name, strategy.op, run->results.size(),
+                         q.name, arm.op, run->results.size(),
                          reference->results.size());
             return 1;
           }
@@ -609,7 +609,7 @@ int RunTopKOperatorSweep(const graft::index::InvertedIndex& index) {
               std::fprintf(stderr,
                            "%s/%s: score mismatch at rank %zu "
                            "(%.17g vs %.17g)\n",
-                           q.name, strategy.op, i, run->results[i].score,
+                           q.name, arm.op, i, run->results[i].score,
                            reference->results[i].score);
               return 1;
             }
@@ -619,25 +619,21 @@ int RunTopKOperatorSweep(const graft::index::InvertedIndex& index) {
           r.scheme = scheme;
           r.name = q.name;
           r.k = k;
-          r.op = strategy.op;
-          r.sorted_accesses = run->exec_stats.topk_sorted_accesses;
-          r.random_accesses = run->exec_stats.topk_random_accesses;
-          r.bound_refinements = run->exec_stats.topk_bound_refinements;
+          r.op = arm.op;
           r.docs_scored = run->exec_stats.docs_scored;
           r.docs_pruned = run->exec_stats.docs_pruned;
+          r.blocks_skipped = run->exec_stats.topk_blocks_skipped;
           const double seconds = bench::MeasureSeconds([&] {
             auto res = engine.Search(q.text, scheme, options);
             if (!res.ok()) std::abort();
           });
           r.qps = seconds > 0 ? 1.0 / seconds : 0.0;
           results.push_back(r);
-          std::printf(
-              "%8s %5s %5zu %9s | %12.1f | %10llu %10llu %10llu %10llu\n",
-              r.scheme, r.name, r.k, r.op, r.qps,
-              static_cast<unsigned long long>(r.sorted_accesses),
-              static_cast<unsigned long long>(r.random_accesses),
-              static_cast<unsigned long long>(r.bound_refinements),
-              static_cast<unsigned long long>(r.docs_scored));
+          std::printf("%8s %5s %5zu %9s | %12.1f | %10llu %10llu %10llu\n",
+                      r.scheme, r.name, r.k, r.op, r.qps,
+                      static_cast<unsigned long long>(r.docs_scored),
+                      static_cast<unsigned long long>(r.docs_pruned),
+                      static_cast<unsigned long long>(r.blocks_skipped));
         }
       }
     }
@@ -661,15 +657,12 @@ int RunTopKOperatorSweep(const graft::index::InvertedIndex& index) {
     std::fprintf(
         out,
         "    {\"scheme\": \"%s\", \"query\": \"%s\", \"k\": %zu, "
-        "\"operator\": \"%s\", \"qps\": %.2f, \"sorted_accesses\": %llu, "
-        "\"random_accesses\": %llu, \"bound_refinements\": %llu, "
-        "\"docs_scored\": %llu, \"docs_pruned\": %llu}%s\n",
+        "\"operator\": \"%s\", \"qps\": %.2f, \"docs_scored\": %llu, "
+        "\"docs_pruned\": %llu, \"blocks_skipped\": %llu}%s\n",
         r.scheme, r.name, r.k, r.op, r.qps,
-        static_cast<unsigned long long>(r.sorted_accesses),
-        static_cast<unsigned long long>(r.random_accesses),
-        static_cast<unsigned long long>(r.bound_refinements),
         static_cast<unsigned long long>(r.docs_scored),
         static_cast<unsigned long long>(r.docs_pruned),
+        static_cast<unsigned long long>(r.blocks_skipped),
         i + 1 < results.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");

@@ -7,8 +7,6 @@
 #include "core/cost_model.h"
 #include "core/rewrite_rules.h"
 #include "exec/maxscore_topk.h"
-#include "exec/nra_topk.h"
-#include "exec/threshold_topk.h"
 #include "ma/reference_evaluator.h"
 
 namespace graft::core {
@@ -56,26 +54,6 @@ void FoldPruneStats(const exec::PruneStats& prune, exec::ExecStats* stats) {
   stats->topk_threshold_updates += prune.threshold_updates;
 }
 
-// Folds Fagin TA counters into the per-query ExecStats view.
-void FoldTaStats(const exec::TaStats& ta, exec::ExecStats* stats) {
-  stats->rank_heap_ops += ta.heap_ops;
-  stats->rank_stopping_depth += ta.stopping_depth;
-  stats->docs_scored += ta.candidates_scored;
-  stats->docs_pruned += ta.entries_pruned();
-  stats->topk_sorted_accesses += ta.sorted_accesses;
-  stats->topk_random_accesses += ta.random_accesses;
-}
-
-// Folds Fagin NRA counters into the per-query ExecStats view.
-void FoldNraStats(const exec::NraStats& nra, exec::ExecStats* stats) {
-  stats->rank_heap_ops += nra.heap_ops;
-  stats->rank_stopping_depth += nra.stopping_depth;
-  stats->docs_scored += nra.candidates_resolved;
-  stats->docs_pruned += nra.entries_pruned();
-  stats->topk_sorted_accesses += nra.sorted_accesses;
-  stats->topk_bound_refinements += nra.bound_refinements;
-}
-
 // Stamps one count per fired rewrite rule (registry order) into the
 // result's ExecStats — the per-rule counters /metrics aggregates.
 void StampRuleCounters(SearchResult* result) {
@@ -99,8 +77,7 @@ void StampRuleCounters(SearchResult* result) {
 // says why the pruned operator stood down.
 std::vector<RewriteAttempt> RankPathAttempts(
     const mcalc::Query& query, const sa::ScoringScheme& scheme,
-    const std::string& pruning_verdict, bool pruned,
-    const std::string& operator_note = "; threshold top-k execution") {
+    const std::string& pruning_verdict, bool pruned) {
   const Optimization fired_opt = query.root->kind == mcalc::NodeKind::kOr
                                      ? Optimization::kRankUnion
                                      : Optimization::kRankJoin;
@@ -121,13 +98,95 @@ std::vector<RewriteAttempt> RankPathAttempts(
           pruned ? "superseded by block-max pruned top-k"
                  : "gate ok: " +
                        ExplainGate(opt, scheme.properties()).reason +
-                       operator_note;
+                       "; threshold top-k execution";
     } else {
       attempt.verdict = "not attempted (rank processing path)";
     }
     attempts.push_back(std::move(attempt));
   }
   return attempts;
+}
+
+// The top-k physical operators the planner chooses between.
+enum class TopKOp { kMaxScore, kHrjn, kFull };
+
+// The one top-k decision. Search (monolithic and segmented) and EXPLAIN
+// all ask PlanTopK, so the strategy EXPLAIN prints is the operator that
+// runs.
+struct TopKPlan {
+  TopKOp op = TopKOp::kFull;
+  // Block-max gate verdict: empty iff op == kMaxScore; on kHrjn, why the
+  // pruned operator stood down.
+  std::string prune_verdict;
+  // On kFull, why rank processing did not run.
+  std::string reason;
+};
+
+// Decision order: block-max pruned top-k (MaxScore) when its gate passes,
+// else the threshold rank engine (HRJN) when the Table-1 gate admits
+// rank-join/rank-union, else full ranking + truncate. `overlay` is the
+// statistics overlay the query scores against; it overrides the stored
+// block ceilings, so pruning stands down under one.
+TopKPlan PlanTopK(const mcalc::Query& query, const sa::ScoringScheme& scheme,
+                  const index::InvertedIndex& index,
+                  const index::StatsOverlay* overlay,
+                  const SearchOptions& options) {
+  TopKPlan plan;
+  if (options.top_k == 0) {
+    plan.reason = "no top-k requested";
+  } else if (!options.allow_rank_processing) {
+    plan.reason = "rank processing disabled";
+  } else if (!exec::TopKRankEngine::Supports(query, scheme)) {
+    plan.reason = "rank processing not licensed";
+  } else {
+    plan.prune_verdict =
+        options.allow_block_max_pruning
+            ? exec::MaxScoreTopK::GateVerdict(query, scheme, index, overlay)
+            : "blocked: disabled by request options";
+    plan.op = plan.prune_verdict.empty() ? TopKOp::kMaxScore : TopKOp::kHrjn;
+  }
+  return plan;
+}
+
+// Runs the planned rank operator (kMaxScore or kHrjn) over one index — the
+// monolithic index, or one segment scored against the corpus-wide
+// `global` statistics — and folds its counters into `stats`.
+StatusOr<std::vector<ma::ScoredDoc>> RunRankOperator(
+    TopKOp op, const mcalc::Query& query, const sa::ScoringScheme& scheme,
+    size_t k, const index::InvertedIndex* index,
+    const index::StatsOverlay* overlay, const index::GlobalStats* global,
+    exec::ExecStats* stats) {
+  if (op == TopKOp::kMaxScore) {
+    exec::MaxScoreTopK pruner(index, &scheme, global);
+    auto top = pruner.TopK(query, k);
+    FoldPruneStats(pruner.stats(), stats);
+    return top;
+  }
+  exec::TopKRankEngine rank_engine(index, &scheme, overlay, global);
+  auto top = rank_engine.TopK(query, k);
+  FoldRankStats(rank_engine.stats(), stats);
+  return top;
+}
+
+// Fills the result fields every rank-processing run reports.
+void StampRankResult(const TopKPlan& plan, const mcalc::Query& query,
+                     const sa::ScoringScheme& scheme, SearchResult* result) {
+  const bool pruned = plan.op == TopKOp::kMaxScore;
+  result->used_rank_processing = true;
+  result->used_block_max_pruning = pruned;
+  result->topk_operator = pruned ? "maxscore" : "hrjn";
+  result->applied_optimizations =
+      pruned ? "block-max pruned top-k" : "rank-join/rank-union (top-k)";
+  result->rewrite_attempts =
+      RankPathAttempts(query, scheme, plan.prune_verdict, pruned);
+}
+
+// The per-request overlay replaces (not merges with) the engine overlay:
+// a router shard must score against exactly the pinned statistics.
+const index::StatsOverlay* RequestOverlay(
+    const SearchOptions& options, const index::StatsOverlay* engine_overlay) {
+  return options.stats_overlay != nullptr ? options.stats_overlay
+                                          : engine_overlay;
 }
 
 std::string FormatExecStats(const exec::ExecStats& s) {
@@ -155,14 +214,6 @@ std::string FormatExecStats(const exec::ExecStats& s) {
            " ceiling_probes=" + std::to_string(s.topk_ceiling_probes) +
            " threshold_updates=" + std::to_string(s.topk_threshold_updates) +
            "\n";
-  }
-  if (s.topk_sorted_accesses != 0 || s.topk_random_accesses != 0 ||
-      s.topk_bound_refinements != 0) {
-    out += "  fagin: sorted_accesses=" +
-           std::to_string(s.topk_sorted_accesses) +
-           " random_accesses=" + std::to_string(s.topk_random_accesses) +
-           " bound_refinements=" +
-           std::to_string(s.topk_bound_refinements) + "\n";
   }
   if (s.block_cache_hits != 0 || s.block_cache_misses != 0 ||
       s.block_cache_evictions != 0 || s.packed_payload_decodes != 0) {
@@ -313,10 +364,7 @@ StatusOr<SearchResult> Engine::SearchQueryImpl(
     return SearchQuerySegmented(query, scheme, options);
   }
 
-  // The per-request overlay replaces (not merges with) the engine overlay:
-  // a router shard must score against exactly the pinned statistics.
-  const index::StatsOverlay* overlay =
-      options.stats_overlay != nullptr ? options.stats_overlay : overlay_;
+  const index::StatsOverlay* overlay = RequestOverlay(options, overlay_);
 
   SearchResult result;
   common::QueryTrace* trace = options.trace;
@@ -339,88 +387,22 @@ StatusOr<SearchResult> Engine::SearchQueryImpl(
     return result;
   }
 
-  // Forced Fagin middleware strategies (TA / NRA): run the requested
-  // operator when its gate licenses it; otherwise fall back to full
-  // ranking + truncate below (never a different top-k operator, so the
-  // comparison benches and the fuzzer see exactly the strategy they ask
-  // for).
-  if (options.top_k > 0 && options.allow_rank_processing &&
-      options.topk_strategy == TopKStrategy::kThreshold &&
-      exec::ThresholdTopK::Supports(query, scheme)) {
+  const TopKPlan topk_plan =
+      PlanTopK(query, scheme, *index_, overlay, options);
+  if (topk_plan.op != TopKOp::kFull) {
     common::ScopedSpan rank_span(trace, "rank");
-    exec::ThresholdTopK ta(index_, &scheme, overlay);
-    GRAFT_ASSIGN_OR_RETURN(result.results, ta.TopK(query, options.top_k));
-    rank_span.End("stopping_depth=" +
-                  std::to_string(ta.stats().stopping_depth));
-    result.used_rank_processing = true;
-    result.topk_operator = "ta";
-    result.applied_optimizations = "threshold top-k (TA, forced)";
-    result.rewrite_attempts = RankPathAttempts(
-        query, scheme, "not attempted (TA strategy forced)",
-        /*pruned=*/false, "; threshold top-k (TA) execution");
-    FoldTaStats(ta.stats(), &result.exec_stats);
-    StampRuleCounters(&result);
-    return result;
-  }
-  if (options.top_k > 0 && options.allow_rank_processing &&
-      options.topk_strategy == TopKStrategy::kNra &&
-      exec::NraTopK::Supports(query, scheme)) {
-    common::ScopedSpan rank_span(trace, "rank");
-    exec::NraTopK nra(index_, &scheme, overlay);
-    GRAFT_ASSIGN_OR_RETURN(result.results, nra.TopK(query, options.top_k));
-    rank_span.End("stopping_depth=" +
-                  std::to_string(nra.stats().stopping_depth));
-    result.used_rank_processing = true;
-    result.topk_operator = "nra";
-    result.applied_optimizations = "NRA top-k (forced)";
-    result.rewrite_attempts = RankPathAttempts(
-        query, scheme, "not attempted (NRA strategy forced)",
-        /*pruned=*/false, "; no-random-access top-k (NRA) execution");
-    FoldNraStats(nra.stats(), &result.exec_stats);
-    StampRuleCounters(&result);
-    return result;
-  }
-
-  // Top-k rank processing when the gate admits it. The block-max pruned
-  // operator runs first when its (stricter) gate also passes; it gates
-  // itself off conservatively and falls back to the threshold algorithm.
-  if (options.top_k > 0 && options.allow_rank_processing &&
-      options.topk_strategy == TopKStrategy::kAuto &&
-      exec::TopKRankEngine::Supports(query, scheme)) {
-    const std::string prune_verdict =
-        options.allow_block_max_pruning
-            ? exec::MaxScoreTopK::GateVerdict(query, scheme, *index_,
-                                              overlay)
-            : "blocked: disabled by request options";
-    if (prune_verdict.empty()) {
-      common::ScopedSpan rank_span(trace, "rank");
-      exec::MaxScoreTopK pruner(index_, &scheme);
-      GRAFT_ASSIGN_OR_RETURN(result.results,
-                             pruner.TopK(query, options.top_k));
-      rank_span.End("blocks_skipped=" +
-                    std::to_string(pruner.stats().blocks_skipped));
-      result.used_rank_processing = true;
-      result.used_block_max_pruning = true;
-      result.topk_operator = "maxscore";
-      result.applied_optimizations = "block-max pruned top-k";
-      result.rewrite_attempts =
-          RankPathAttempts(query, scheme, prune_verdict, /*pruned=*/true);
-      FoldPruneStats(pruner.stats(), &result.exec_stats);
-      StampRuleCounters(&result);
-      return result;
-    }
-    common::ScopedSpan rank_span(trace, "rank");
-    exec::TopKRankEngine rank_engine(index_, &scheme, overlay);
-    GRAFT_ASSIGN_OR_RETURN(result.results,
-                           rank_engine.TopK(query, options.top_k));
-    rank_span.End("stopping_depth=" +
-                  std::to_string(rank_engine.stats().stopping_depth));
-    result.used_rank_processing = true;
-    result.topk_operator = "hrjn";
-    result.applied_optimizations = "rank-join/rank-union (top-k)";
-    result.rewrite_attempts =
-        RankPathAttempts(query, scheme, prune_verdict, /*pruned=*/false);
-    FoldRankStats(rank_engine.stats(), &result.exec_stats);
+    GRAFT_ASSIGN_OR_RETURN(
+        result.results,
+        RunRankOperator(topk_plan.op, query, scheme, options.top_k, index_,
+                        overlay, /*global=*/nullptr, &result.exec_stats));
+    rank_span.End(topk_plan.op == TopKOp::kMaxScore
+                      ? "blocks_skipped=" +
+                            std::to_string(
+                                result.exec_stats.topk_blocks_skipped)
+                      : "stopping_depth=" +
+                            std::to_string(
+                                result.exec_stats.rank_stopping_depth));
+    StampRankResult(topk_plan, query, scheme, &result);
     StampRuleCounters(&result);
     return result;
   }
@@ -461,36 +443,15 @@ StatusOr<SearchResult> Engine::SearchQuerySegmented(
   std::vector<std::vector<ma::ScoredDoc>> partials(num_segments);
   SharedExecStats agg_stats;
 
-  // Top-k rank processing: per-segment threshold-algorithm top-k against
-  // global statistics, then a k-way merge — score-consistent because each
-  // segment's top-k is exact for its documents. Forced TA/NRA strategies
-  // fan out the same way (each segment runs the forced operator against
-  // global statistics); unlicensed forced strategies fall through to the
-  // full streaming path below.
-  const bool force_ta =
-      options.topk_strategy == TopKStrategy::kThreshold &&
-      exec::ThresholdTopK::Supports(query, scheme);
-  const bool force_nra = options.topk_strategy == TopKStrategy::kNra &&
-                         exec::NraTopK::Supports(query, scheme);
-  const bool rank_path =
-      options.top_k > 0 && options.allow_rank_processing &&
-      (options.topk_strategy == TopKStrategy::kAuto
-           ? exec::TopKRankEngine::Supports(query, scheme)
-           : (force_ta || force_nra));
-  if (rank_path) {
-    // Per-segment pruning: each segment carries its own block-max metadata
-    // (rebuilt over the rebased slice iff the source index has it), prunes
-    // against its local threshold, and the k-way merge reproduces the
-    // monolithic order because per-segment scores use global statistics.
-    const std::string prune_verdict =
-        force_ta || force_nra
-            ? std::string("not attempted (") +
-                  (force_ta ? "TA" : "NRA") + " strategy forced)"
-            : options.allow_block_max_pruning
-                  ? exec::MaxScoreTopK::GateVerdict(query, scheme, *index_,
-                                                    overlay_)
-                  : "blocked: disabled by request options";
-    const bool prune = !force_ta && !force_nra && prune_verdict.empty();
+  // Top-k rank processing: per-segment top-k against global statistics,
+  // then a k-way merge — score-consistent because each segment's top-k is
+  // exact for its documents. Per-segment pruning: each segment carries its
+  // own block-max metadata (rebuilt over the rebased slice iff the source
+  // index has it) and prunes against its local threshold.
+  const TopKPlan topk_plan = PlanTopK(query, scheme, *index_,
+                                      RequestOverlay(options, overlay_),
+                                      options);
+  if (topk_plan.op != TopKOp::kFull) {
     common::ScopedSpan rank_span(
         trace, "rank", "segments=" + std::to_string(num_segments));
     common::ParallelFor(
@@ -498,29 +459,11 @@ StatusOr<SearchResult> Engine::SearchQuerySegmented(
           common::ScopedSpan segment_span(trace,
                                           "segment " + std::to_string(i));
           const index::SegmentedIndex::Segment& seg = segmented_->segment(i);
-          StatusOr<std::vector<ma::ScoredDoc>> local =
-              Status::Internal("unreached");
           exec::ExecStats rank_stats;
-          if (force_ta) {
-            exec::ThresholdTopK ta(&seg.index, &scheme,
-                                   /*overlay=*/nullptr, &seg.stats);
-            local = ta.TopK(query, options.top_k);
-            FoldTaStats(ta.stats(), &rank_stats);
-          } else if (force_nra) {
-            exec::NraTopK nra(&seg.index, &scheme,
-                              /*overlay=*/nullptr, &seg.stats);
-            local = nra.TopK(query, options.top_k);
-            FoldNraStats(nra.stats(), &rank_stats);
-          } else if (prune) {
-            exec::MaxScoreTopK pruner(&seg.index, &scheme, &seg.stats);
-            local = pruner.TopK(query, options.top_k);
-            FoldPruneStats(pruner.stats(), &rank_stats);
-          } else {
-            exec::TopKRankEngine rank_engine(&seg.index, &scheme,
-                                             /*overlay=*/nullptr, &seg.stats);
-            local = rank_engine.TopK(query, options.top_k);
-            FoldRankStats(rank_engine.stats(), &rank_stats);
-          }
+          auto local = RunRankOperator(topk_plan.op, query, scheme,
+                                       options.top_k, &seg.index,
+                                       /*overlay=*/nullptr, &seg.stats,
+                                       &rank_stats);
           if (!local.ok()) {
             statuses[i] = local.status();
             return;
@@ -538,25 +481,9 @@ StatusOr<SearchResult> Engine::SearchQuerySegmented(
     common::ScopedSpan merge_span(trace, "merge");
     result.results = MergeRanked(partials, options.top_k);
     merge_span.End("results=" + std::to_string(result.results.size()));
-    result.used_rank_processing = true;
-    result.used_block_max_pruning = prune;
-    result.topk_operator =
-        force_ta ? "ta" : force_nra ? "nra" : prune ? "maxscore" : "hrjn";
-    result.applied_optimizations =
-        (force_ta
-             ? std::string("threshold top-k (TA, forced), segmented ×")
-             : force_nra
-                   ? std::string("NRA top-k (forced), segmented ×")
-                   : prune
-                         ? std::string("block-max pruned top-k, segmented ×")
-                         : std::string(
-                               "rank-join/rank-union (top-k), segmented ×")) +
-        std::to_string(num_segments);
-    result.rewrite_attempts = RankPathAttempts(
-        query, scheme, prune_verdict, prune,
-        force_ta ? "; threshold top-k (TA) execution"
-                 : force_nra ? "; no-random-access top-k (NRA) execution"
-                             : "; threshold top-k execution");
+    StampRankResult(topk_plan, query, scheme, &result);
+    result.applied_optimizations +=
+        ", segmented ×" + std::to_string(num_segments);
     result.exec_stats = agg_stats.stats;
     StampRuleCounters(&result);
     return result;
@@ -631,32 +558,20 @@ StatusOr<std::string> Engine::Explain(std::string_view query_text,
     // Deterministic top-k strategy verdict (golden-snapshot friendly):
     // which top-k execution path SearchQuery would take, and why.
     out += "top-k strategy (k=" + std::to_string(options.top_k) + "): ";
-    if (!options.allow_rank_processing) {
-      out += "full ranking + truncate (rank processing disabled)\n";
-    } else if (options.topk_strategy == TopKStrategy::kThreshold) {
-      const std::string verdict =
-          exec::ThresholdTopK::GateVerdict(query, *scheme);
-      out += verdict.empty()
-                 ? "threshold top-k (TA, forced)\n"
-                 : "full ranking + truncate; TA " + verdict + "\n";
-    } else if (options.topk_strategy == TopKStrategy::kNra) {
-      const std::string verdict = exec::NraTopK::GateVerdict(query, *scheme);
-      out += verdict.empty()
-                 ? "NRA top-k (forced)\n"
-                 : "full ranking + truncate; NRA " + verdict + "\n";
-    } else if (exec::TopKRankEngine::Supports(query, *scheme)) {
-      const std::string prune_verdict =
-          options.allow_block_max_pruning
-              ? exec::MaxScoreTopK::GateVerdict(query, *scheme, *index_,
-                                                overlay_)
-              : "blocked: disabled by request options";
-      if (prune_verdict.empty()) {
+    const TopKPlan topk_plan =
+        PlanTopK(query, *scheme, *index_, RequestOverlay(options, overlay_),
+                 options);
+    switch (topk_plan.op) {
+      case TopKOp::kMaxScore:
         out += "block-max pruned top-k\n";
-      } else {
-        out += "threshold top-k; block-max prune " + prune_verdict + "\n";
-      }
-    } else {
-      out += "full ranking + truncate (rank processing not licensed)\n";
+        break;
+      case TopKOp::kHrjn:
+        out += "threshold top-k; block-max prune " +
+               topk_plan.prune_verdict + "\n";
+        break;
+      case TopKOp::kFull:
+        out += "full ranking + truncate (" + topk_plan.reason + ")\n";
+        break;
     }
   }
   out += "rewrites:\n" + FormatRewriteAttempts(plan.attempts);

@@ -48,30 +48,16 @@
 
 namespace graft::core {
 
-// Which top-k physical operator SearchQuery should run when the gate
-// licenses rank processing. kAuto is the production policy; the forced
-// strategies exist for head-to-head comparison (bench_parallel_throughput)
-// and differential testing — an unlicensed forced strategy falls back to
-// full ranking + truncate rather than failing.
-enum class TopKStrategy {
-  kAuto,       // block-max pruned when licensed, else threshold rank engine
-  kThreshold,  // force Fagin TA (exec::ThresholdTopK) when licensed
-  kNra,        // force Fagin NRA (exec::NraTopK) when licensed
-};
-
 struct SearchOptions {
   OptimizerOptions optimizer;
 
-  // 0 = return all matching documents. > 0: return the k best; when the
-  // gate admits rank-join/rank-union for the query and scheme (and
-  // `allow_rank_processing`), a threshold-based top-k execution that stops
-  // early is used instead of scoring every document.
+  // 0 = return all matching documents. > 0: return the k best. One
+  // planner picks the top-k operator: block-max pruned top-k when its gate
+  // passes, else the threshold rank engine when the gate admits
+  // rank-join/rank-union for the query and scheme (and
+  // `allow_rank_processing`), else full ranking + truncate.
   size_t top_k = 0;
   bool allow_rank_processing = true;
-
-  // Top-k operator selection (see TopKStrategy). Ignored when top_k == 0
-  // or rank processing is disallowed.
-  TopKStrategy topk_strategy = TopKStrategy::kAuto;
 
   // Score-safe dynamic pruning (block-max top-k). On top-k queries where
   // the extended gate licenses it (α bounded, ⊕ idempotent, ⊘/⊚ monotonic,
@@ -135,10 +121,10 @@ struct SearchResult {
   // (implies used_rank_processing). The differential fuzzer asserts this
   // stays false for schemes the gate does not license.
   bool used_block_max_pruning = false;
-  // Which top-k physical operator produced the results: "maxscore",
-  // "hrjn" (the cached threshold rank engine), "ta", "nra"; empty on the
-  // full ranking + truncate and streaming paths. The fuzzer's activation
-  // invariant checks this against the operators' gates.
+  // Which top-k physical operator produced the results: "maxscore" (block-
+  // max pruned top-k) or "hrjn" (the cached threshold rank engine); empty
+  // on the full ranking + truncate and streaming paths. EXPLAIN's top-k
+  // strategy line names the same operator (both come from one planner).
   std::string topk_operator;
   // Number of index segments the query executed over (1 = monolithic).
   size_t segments_searched = 1;

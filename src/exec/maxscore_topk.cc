@@ -6,45 +6,19 @@
 #include <utility>
 
 #include "core/optimization_gate.h"
+#include "exec/topk_common.h"
 #include "index/posting_list.h"
 
 namespace graft::exec {
 
-namespace {
-
-// Query shape probe: And(keywords...) or Or(keywords...) or one keyword.
-// (Mirrors rank_join.cc; a single keyword processes as a conjunction.)
-enum class Shape { kUnsupported, kConjunction, kDisjunction };
-
-Shape QueryShape(const mcalc::Query& query,
-                 std::vector<const mcalc::Node*>* keywords) {
-  const mcalc::Node& root = *query.root;
-  if (root.kind == mcalc::NodeKind::kKeyword) {
-    keywords->push_back(&root);
-    return Shape::kConjunction;
-  }
-  if (root.kind != mcalc::NodeKind::kAnd &&
-      root.kind != mcalc::NodeKind::kOr) {
-    return Shape::kUnsupported;
-  }
-  for (const mcalc::NodePtr& child : root.children) {
-    if (child->kind != mcalc::NodeKind::kKeyword) {
-      return Shape::kUnsupported;
-    }
-    keywords->push_back(child.get());
-  }
-  return root.kind == mcalc::NodeKind::kAnd ? Shape::kConjunction
-                                            : Shape::kDisjunction;
-}
-
-}  // namespace
+using topk::Shape;
 
 std::string MaxScoreTopK::GateVerdict(const mcalc::Query& query,
                                       const sa::ScoringScheme& scheme,
                                       const index::InvertedIndex& index,
                                       const index::StatsOverlay* overlay) {
   std::vector<const mcalc::Node*> keywords;
-  const Shape shape = QueryShape(query, &keywords);
+  const Shape shape = topk::QueryShape(query, &keywords);
   if (shape == Shape::kUnsupported || keywords.empty()) {
     return "blocked: not a pure keyword conjunction/disjunction";
   }
@@ -65,7 +39,7 @@ std::string MaxScoreTopK::GateVerdict(const mcalc::Query& query,
 StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
     const mcalc::Query& query, size_t k) {
   std::vector<const mcalc::Node*> keywords;
-  const Shape shape = QueryShape(query, &keywords);
+  const Shape shape = topk::QueryShape(query, &keywords);
   const index::InvertedIndex& index = stats_view_.index();
   const std::string verdict =
       GateVerdict(query, *scheme_, index, /*overlay=*/nullptr);
@@ -79,31 +53,11 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
   }
 
   const size_t n = keywords.size();
-  sa::QueryContext query_ctx;
-  query_ctx.num_columns = static_cast<uint32_t>(n);
+  // The exact scoring path shared with TopKRankEngine, so the scores are
+  // bit-identical to the unpruned paths.
+  const topk::ColumnScorer scorer(&stats_view_, scheme_,
+                                  static_cast<uint32_t>(n));
 
-  // ---- Scoring (replicated from TopKRankEngine so the scores are
-  // bit-identical to the unpruned paths) ----
-  const auto doc_context = [this](DocId doc) {
-    sa::DocContext ctx;
-    ctx.doc = doc;
-    ctx.length = stats_view_.DocLength(doc);
-    ctx.collection_size = stats_view_.CollectionSize();
-    ctx.avg_doc_length = stats_view_.AverageDocLength();
-    return ctx;
-  };
-  const auto column_score_tf = [&](TermId term, uint32_t tf, DocId doc) {
-    sa::ColumnContext col;
-    col.term = term;
-    col.doc_freq = term == kInvalidTerm ? 0 : stats_view_.DocFreq(term);
-    col.tf_in_doc = tf;
-    const sa::DocContext dctx = doc_context(doc);
-    if (tf == 0) {
-      return scheme_->Init(dctx, col, kEmptyOffset);
-    }
-    const sa::InternalScore unit = scheme_->Init(dctx, col, /*offset=*/0);
-    return tf <= 1 ? unit : scheme_->Scale(unit, tf);
-  };
   // ---- Cursors ----
   struct Cursor {
     TermId term = kInvalidTerm;
@@ -159,14 +113,6 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
     }
   };
 
-  // Generic context for ceilings and ∅-cell bounds: length 1 maximizes a
-  // bounded α, and ω ignores the document for gate-licensed schemes (the
-  // same convention rank_join's threshold uses).
-  sa::DocContext generic;
-  generic.length = 1;
-  generic.collection_size = stats_view_.CollectionSize();
-  generic.avg_doc_length = stats_view_.AverageDocLength();
-
   // Ceiling of the cursor's current block: the best-α point of the block's
   // (tf, doc length) Pareto frontier. Boundedness dominates every in-block
   // document by SOME frontier point, and the frontier points are real
@@ -185,7 +131,7 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
     sa::ColumnContext col;
     col.term = term;
     col.doc_freq = stats_view_.DocFreq(term);
-    sa::DocContext dctx = generic;
+    sa::DocContext dctx = scorer.GenericDocCtx();
     sa::InternalScore best;
     bool first = true;
     for (size_t p = begin; p < end; ++p) {
@@ -210,42 +156,25 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
     return c.cached_ceiling;
   };
 
-  // ---- Top-k heap (sorted vector; identical tie-breaking to rank_join:
-  // score desc, doc asc) ----
-  std::vector<ma::ScoredDoc> top;
-  const auto worst_kept = [&]() {
-    return top.size() < k ? -std::numeric_limits<double>::infinity()
-                          : top.back().score;
-  };
+  // ---- Top-k list (identical tie-breaking to rank_join) ----
+  topk::TopKList top(k);
   const auto consider = [&](DocId doc, double score) {
-    ma::ScoredDoc candidate{doc, score};
-    const auto position = std::upper_bound(
-        top.begin(), top.end(), candidate,
-        [](const ma::ScoredDoc& a, const ma::ScoredDoc& b) {
-          if (a.score != b.score) return a.score > b.score;
-          return a.doc < b.doc;
-        });
-    top.insert(position, candidate);
-    ++stats_.heap_ops;
-    if (top.size() > k) {
-      top.pop_back();
-      ++stats_.heap_ops;
-    }
+    stats_.heap_ops += top.Insert(doc, score);
   };
   const auto full_score = [&](DocId doc, const std::vector<uint32_t>& tfs) {
     sa::InternalScore acc;
     bool first = true;
     for (size_t i = 0; i < n; ++i) {
-      sa::InternalScore column = column_score_tf(cursors[i].term, tfs[i], doc);
+      sa::InternalScore column =
+          scorer.ColumnScoreTf(cursors[i].term, tfs[i], doc);
       if (first) {
         acc = std::move(column);
         first = false;
       } else {
-        acc = shape == Shape::kConjunction ? scheme_->Conj(acc, column)
-                                           : scheme_->Disj(acc, column);
+        acc = scorer.Combine(shape, acc, column);
       }
     }
-    return scheme_->Finalize(doc_context(doc), query_ctx, acc);
+    return scorer.Finalize(doc, acc);
   };
   std::vector<uint32_t> tfs(n);
 
@@ -280,7 +209,7 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
       if (done) break;
       if (!aligned) continue;
 
-      if (top.size() >= k) {
+      if (top.full()) {
         // Fold the current blocks' ceilings (keyword order, like scoring:
         // monotone rounding then guarantees ceiling >= any in-block score
         // at the bit level). Skip to just past the earliest-ending block
@@ -298,9 +227,7 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
           }
           frontier = std::min(frontier, c.list->block_last_doc(c.block()));
         }
-        const double ceiling_score =
-            scheme_->Finalize(generic, query_ctx, bound);
-        if (worst_kept() >= ceiling_score) {
+        if (top.worst_kept() >= scorer.FinalizeGeneric(bound)) {
           // Every term's postings in [candidate, frontier] lie inside the
           // term's current block, so no document there can reach the heap.
           ++stats_.blocks_skipped;
@@ -322,7 +249,7 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
         ++c.pos;
       }
     }
-    return top;
+    return top.Take();
   }
 
   // ---- Disjunction: MaxScore essential/non-essential partition ----
@@ -332,12 +259,7 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
   std::vector<sa::InternalScore> ub(n);
   std::vector<sa::InternalScore> empty_cell(n);
   for (size_t i = 0; i < n; ++i) {
-    sa::ColumnContext col;
-    col.term = cursors[i].term;
-    col.doc_freq =
-        cursors[i].term == kInvalidTerm ? 0 : stats_view_.DocFreq(cursors[i].term);
-    col.tf_in_doc = 0;
-    empty_cell[i] = scheme_->Init(generic, col, kEmptyOffset);
+    empty_cell[i] = scorer.EmptyCell(cursors[i].term);
     if (cursors[i].list == nullptr) {
       ub[i] = empty_cell[i];
       continue;
@@ -376,13 +298,13 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
         bound = scheme_->Disj(bound, v);
       }
     }
-    prefix_bound[p] = scheme_->Finalize(generic, query_ctx, bound);
+    prefix_bound[p] = scorer.FinalizeGeneric(bound);
   }
 
   double last_worst = -std::numeric_limits<double>::infinity();
   size_t num_nonessential = 0;
   while (true) {
-    const double worst = worst_kept();
+    const double worst = top.worst_kept();
     if (worst != last_worst) {
       // The k-th best improved: re-partition. Documents matching only
       // keywords in the non-essential prefix can no longer enter the heap.
@@ -409,7 +331,7 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
       break;  // essential lists exhausted
     }
 
-    if (top.size() >= k) {
+    if (top.full()) {
       // Block-level skip: fold (keyword order) the live essential cursors'
       // current-block ceilings with the non-essential terms' UBs (∅ cell
       // for exhausted lists). If the fold cannot beat the heap, every
@@ -437,9 +359,7 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
           bound = scheme_->Disj(bound, *v);
         }
       }
-      const double ceiling_score =
-          scheme_->Finalize(generic, query_ctx, bound);
-      if (worst_kept() >= ceiling_score) {
+      if (top.worst_kept() >= scorer.FinalizeGeneric(bound)) {
         ++stats_.blocks_skipped;
         ++stats_.candidates_pruned;  // the candidate itself matches
         for (size_t i = 0; i < n; ++i) {
@@ -483,7 +403,7 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
       }
     }
   }
-  return top;
+  return top.Take();
 }
 
 }  // namespace graft::exec

@@ -14,9 +14,9 @@
 //
 // Score consistency: pruning only changes WHICH documents get scored,
 // never any returned score. The scoring path is the exact α/⊘/⊚/⊕/ω
-// pipeline of the full engine (replicated from TopKRankEngine), so the
-// result is bit-identical to the unpruned top-k — the differential fuzzer
-// enforces this across every licensed scheme.
+// pipeline of the full engine (topk::ColumnScorer, shared with
+// TopKRankEngine), so the result is bit-identical to the unpruned top-k —
+// the differential fuzzer enforces this across every licensed scheme.
 //
 // The gate (Table-1 discipline, extended): α bounded, ⊕ idempotent (so ⊗
 // is the identity and the block ceiling is a single α evaluation), ⊘/⊚

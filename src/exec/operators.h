@@ -58,11 +58,12 @@ struct ExecStats {
                                         // block on the unpruned top-k)
   uint64_t topk_ceiling_probes = 0;     // block/term ceiling evaluations
   uint64_t topk_threshold_updates = 0;  // k-th-best-score improvements
-  // Fagin middleware-aggregation counters; zero unless the ThresholdTopK
-  // (TA) or NraTopK (NRA) strategy ran.
-  uint64_t topk_sorted_accesses = 0;    // score-ordered stream entries read
-  uint64_t topk_random_accesses = 0;    // TA candidate completions by probe
-  uint64_t topk_bound_refinements = 0;  // NRA candidate upper-bound updates
+  // Former Fagin TA/NRA counters. No operator sets them any more, so they
+  // are always 0; kept only because external readers of ExecStats still
+  // read them.
+  uint64_t topk_sorted_accesses = 0;
+  uint64_t topk_random_accesses = 0;
+  uint64_t topk_bound_refinements = 0;
   // Decoded-block cache traffic (v5 mmap indexes); zero on materialized
   // indexes. Harvested from the thread-local BlockCache accumulator around
   // query execution by the engine.

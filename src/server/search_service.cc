@@ -87,12 +87,6 @@ void AppendFullExecJson(std::string* out, const exec::ExecStats& s) {
           std::to_string(s.topk_ceiling_probes) +
           ",\"topk_threshold_updates\":" +
           std::to_string(s.topk_threshold_updates) +
-          ",\"topk_sorted_accesses\":" +
-          std::to_string(s.topk_sorted_accesses) +
-          ",\"topk_random_accesses\":" +
-          std::to_string(s.topk_random_accesses) +
-          ",\"topk_bound_refinements\":" +
-          std::to_string(s.topk_bound_refinements) +
           ",\"block_cache_hits\":" + std::to_string(s.block_cache_hits) +
           ",\"block_cache_misses\":" + std::to_string(s.block_cache_misses) +
           ",\"block_cache_evictions\":" +
@@ -101,7 +95,8 @@ void AppendFullExecJson(std::string* out, const exec::ExecStats& s) {
           std::to_string(s.packed_payload_decodes) + "}";
 }
 
-// "explain":{...} block: pinned generation, rewrite table, counters, trace.
+// "explain":{...} block: pinned generation, plan, top-k operator, rewrite
+// table, counters, trace.
 void AppendExplainBlock(std::string* out, const core::SearchResult& result,
                         const common::QueryTrace& trace,
                         uint64_t pinned_generation) {
@@ -109,6 +104,9 @@ void AppendExplainBlock(std::string* out, const core::SearchResult& result,
   *out += std::to_string(pinned_generation);
   *out += ",\"plan\":\"";
   JsonAppendEscaped(out, result.plan_text);
+  // The top-k operator that ran; "full" for full ranking (+ truncate).
+  *out += "\",\"topk_operator\":\"";
+  *out += result.topk_operator.empty() ? "full" : result.topk_operator;
   *out += "\",\"rewrites\":[";
   bool first = true;
   for (const core::RewriteAttempt& attempt : result.rewrite_attempts) {

@@ -160,32 +160,32 @@ TEST(ExplainGolden, TopKBlockedMeanSum) {
               options);
 }
 
-// Forced Fagin middleware strategies: the strategy line names the forced
-// operator when its gate licenses the query + scheme, and shows the
-// full-ranking fallback with the blocking verdict otherwise. The rewrite
-// table carries the per-rule verdicts either way.
+// The other two planner verdicts: the threshold (HRJN) engine when the
+// pruner stands down — a per-request statistics overlay, or pruning
+// switched off — and full ranking + truncate when neither operator is
+// licensed (a positional predicate is not a pure keyword shape).
 
-TEST(ExplainGolden, TopKThresholdForcedAnySum) {
+TEST(ExplainGolden, TopKOverlayAnySum) {
+  const index::StatsOverlay overlay;
   SearchOptions options;
   options.top_k = 10;
-  options.topk_strategy = TopKStrategy::kThreshold;
-  CheckGolden("explain_topk_ta_forced_anysum", "free software", "AnySum",
+  options.stats_overlay = &overlay;
+  CheckGolden("explain_topk_overlay_anysum", "free software", "AnySum",
               options);
 }
 
-TEST(ExplainGolden, TopKNraForcedAnySum) {
+TEST(ExplainGolden, TopKUnprunedLucene) {
   SearchOptions options;
   options.top_k = 10;
-  options.topk_strategy = TopKStrategy::kNra;
-  CheckGolden("explain_topk_nra_forced_anysum", "free software", "AnySum",
+  options.allow_block_max_pruning = false;
+  CheckGolden("explain_topk_unpruned_lucene", "free | software", "Lucene",
               options);
 }
 
-TEST(ExplainGolden, TopKNraBlockedMeanSum) {
+TEST(ExplainGolden, TopKPhraseAnySum) {
   SearchOptions options;
   options.top_k = 10;
-  options.topk_strategy = TopKStrategy::kNra;
-  CheckGolden("explain_topk_nra_blocked_meansum", "free software", "MeanSum",
+  CheckGolden("explain_topk_phrase_anysum", "\"free software\"", "AnySum",
               options);
 }
 

@@ -256,18 +256,26 @@ TEST(ExplainEndpointTest, ExplainBlockCarriesRewritesCountersAndTrace) {
   EXPECT_NE(body.find("\"fired\":true"), std::string::npos)
       << "at least one rewrite must fire for a conjunction under MeanSum";
 
-  // All nineteen operator counters.
+  // MeanSum is not licensed for rank processing: full ranking + truncate.
+  EXPECT_NE(body.find("\"topk_operator\":\"full\""), std::string::npos)
+      << body;
+
+  // All sixteen operator counters.
   for (const char* counter :
        {"docs_visited", "rows_built", "positions_scanned",
         "count_entries_scanned", "blocks_decoded", "gallop_probes",
         "skip_calls", "skip_hits", "rank_heap_ops", "rank_stopping_depth",
         "docs_scored", "docs_pruned", "topk_blocks_skipped",
         "topk_blocks_decoded", "topk_ceiling_probes",
-        "topk_threshold_updates", "topk_sorted_accesses",
-        "topk_random_accesses", "topk_bound_refinements"}) {
+        "topk_threshold_updates"}) {
     EXPECT_NE(body.find("\"" + std::string(counter) + "\":"),
               std::string::npos)
         << "missing counter " << counter;
+  }
+  // The former TA/NRA counters are no longer part of the block.
+  for (const char* gone : {"topk_sorted_accesses", "topk_random_accesses",
+                           "topk_bound_refinements"}) {
+    EXPECT_EQ(body.find(gone), std::string::npos) << gone;
   }
 
   // The span trace shows the pipeline stages. (No parse span here: the
@@ -354,6 +362,8 @@ TEST(MetricsTest, PrunedSearchCountsIntoMetricsStatsAndExplain) {
             std::string::npos)
       << pruned->body.substr(0, 400);
   EXPECT_NE(pruned->body.find("\"topk_ceiling_probes\":"), std::string::npos);
+  EXPECT_NE(pruned->body.find("\"topk_operator\":\"maxscore\""),
+            std::string::npos);
 
   // MeanSum's α is not upper-boundable: same query, pruning must not fire.
   auto blocked = HttpGet(
