@@ -1,62 +1,27 @@
 #include "router/router_service.h"
 
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 
 #include "core/request.h"
 #include "mcalc/parser.h"
 #include "sa/scoring_scheme.h"
+#include "server/search_service.h"
 
 namespace graft::router {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+using server::AppendMetric;
+using server::AppendMsField;
 using server::ErrorBody;
-using server::HttpCodeForStatus;
+using server::ErrorResponse;
 using server::HttpRequest;
 using server::JsonAppendEscaped;
 using server::Response;
 
-uint64_t MicrosSince(Clock::time_point t0) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - t0)
-          .count());
-}
-
-std::string RetryAfterHeader(unsigned seconds) {
-  return "Retry-After: " + std::to_string(seconds) + "\r\n";
-}
-
-// Same FIN-before-close dance as SearchService's RejectConnection: the 503
-// must survive the unread request bytes.
-void RejectConnection(int fd, const std::string& body,
-                      unsigned retry_after_s) {
-  (void)server::WriteResponse(fd, 503, "application/json", body,
-                              RetryAfterHeader(retry_after_s));
-  ::shutdown(fd, SHUT_WR);
-  char drain[1024];
-  for (int spin = 0; spin < 50; ++spin) {
-    const ssize_t n = ::recv(fd, drain, sizeof(drain), MSG_DONTWAIT);
-    if (n == 0) break;
-    if (n < 0) {
-      if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
-  ::close(fd);
-}
-
-void AppendMsField(std::string* out, std::string_view name, double micros) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "\"%.*s\":%.3f",
-                static_cast<int>(name.size()), name.data(), micros / 1000.0);
-  *out += buf;
-}
+constexpr server::OutcomeNames kOutcomeNames{"graft_router_", "bad_gateway",
+                                             "by_scheme"};
 
 void AppendShardOutcomes(std::string* out,
                          const std::vector<ShardOutcome>& outcomes) {
@@ -87,36 +52,7 @@ void AppendShardOutcomes(std::string* out,
   *out += "]";
 }
 
-void AppendCounterMetric(std::string* out, std::string_view name,
-                         std::string_view help, uint64_t value) {
-  *out += "# HELP ";
-  *out += name;
-  *out += " ";
-  *out += help;
-  *out += "\n# TYPE ";
-  *out += name;
-  *out += " counter\n";
-  *out += name;
-  *out += " " + std::to_string(value) + "\n";
-}
-
 }  // namespace
-
-void RouterStats::RecordResponseCode(int status_code) {
-  if (status_code >= 200 && status_code < 300) {
-    responses_ok.fetch_add(1, std::memory_order_relaxed);
-  } else if (status_code == 503) {
-    rejected_overload.fetch_add(1, std::memory_order_relaxed);
-  } else if (status_code == 504) {
-    deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
-  } else if (status_code == 502) {
-    bad_gateway.fetch_add(1, std::memory_order_relaxed);
-  } else if (status_code >= 400 && status_code < 500) {
-    client_errors.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    bad_gateway.fetch_add(1, std::memory_order_relaxed);
-  }
-}
 
 RouterService::RouterService(
     std::vector<std::vector<uint16_t>> shard_replicas, RouterOptions options)
@@ -127,120 +63,31 @@ RouterService::RouterService(
 RouterService::~RouterService() { Shutdown(); }
 
 Status RouterService::Start() {
-  if (started_) {
-    return Status::FailedPrecondition("router already started");
-  }
-  GRAFT_RETURN_IF_ERROR(listener_.Bind(options_.port));
-  pool_ = std::make_unique<common::ThreadPool>(options_.handler_threads);
-  started_at_ = Clock::now();
-  started_ = true;
+  GRAFT_RETURN_IF_ERROR(http_.Start());
   gather_->StartProbes();
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::Ok();
 }
 
 void RouterService::Shutdown() {
-  if (!started_) return;
-  stopping_.store(true, std::memory_order_release);
-  listener_.Interrupt();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  listener_.Close();
-  {
-    std::unique_lock<std::mutex> lock(drain_mu_);
-    drain_cv_.wait(lock, [this] {
-      return inflight_.load(std::memory_order_acquire) == 0;
-    });
-  }
-  pool_.reset();
+  http_.Shutdown();
   gather_->StopProbes();
-  started_ = false;
-}
-
-void RouterService::AcceptLoop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    StatusOr<int> accepted = listener_.Accept(options_.io_timeout_ms);
-    if (!accepted.ok()) {
-      if (stopping_.load(std::memory_order_acquire)) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      continue;
-    }
-    const int fd = *accepted;
-    stats_.requests_total.fetch_add(1, std::memory_order_relaxed);
-
-    const size_t inflight =
-        inflight_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    if (inflight > options_.max_inflight ||
-        stopping_.load(std::memory_order_acquire)) {
-      const Status reason =
-          inflight > options_.max_inflight
-              ? Status::FailedPrecondition("router overloaded; retry")
-              : Status::FailedPrecondition("router shutting down");
-      RejectConnection(fd, ErrorBody(reason), options_.retry_after_s);
-      stats_.RecordResponseCode(503);
-      if (inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(drain_mu_);
-        drain_cv_.notify_all();
-      }
-      continue;
-    }
-
-    const Clock::time_point admitted = Clock::now();
-    pool_->Submit([this, fd, admitted] { HandleConnection(fd, admitted); });
-  }
-}
-
-void RouterService::HandleConnection(int fd, Clock::time_point admitted) {
-  const uint64_t queued_micros = MicrosSince(admitted);
-  StatusOr<HttpRequest> request = server::ReadRequest(fd);
-  Response response;
-  if (!request.ok()) {
-    stats_.malformed_requests.fetch_add(1, std::memory_order_relaxed);
-    response.status_code = 400;
-    response.body = ErrorBody(request.status());
-  } else {
-    response = Handle(*request, queued_micros);
-  }
-  const std::string extra_headers =
-      response.retry_after_s > 0 ? RetryAfterHeader(response.retry_after_s)
-                                 : std::string();
-  // Count before writing: a client that has read the response (and then
-  // /stats) must already see it reflected in the counters.
-  stats_.RecordResponseCode(response.status_code);
-  (void)server::WriteResponse(fd, response.status_code, response.content_type,
-                              response.body, extra_headers);
-  ::close(fd);
-  if (inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard<std::mutex> lock(drain_mu_);
-    drain_cv_.notify_all();
-  }
 }
 
 Response RouterService::Handle(const HttpRequest& request,
                                uint64_t queued_micros) {
-  Response response;
-  if (request.method != "GET") {
-    response.status_code = 405;
-    response.body =
-        ErrorBody(Status::InvalidArgument("only GET is supported"));
-    return response;
-  }
   if (request.path == "/healthz") return HandleHealthz();
   if (request.path == "/stats") return HandleStats();
   if (request.path == "/metrics") return HandleMetrics();
   if (request.path == "/search") return HandleSearch(request, queued_micros);
-  response.status_code = 404;
-  response.body =
-      ErrorBody(Status::NotFound("no such endpoint: " + request.path));
-  return response;
+  return ErrorResponse(Status::NotFound("no such endpoint: " + request.path));
 }
 
 Response RouterService::HandleSearch(const HttpRequest& request,
                                      uint64_t queued_micros) {
-  const Clock::time_point handle_start = Clock::now();
+  // The single exit point for the latency record: every /search response
+  // is counted, whatever code it carries.
+  const server::LatencyScope latency(&stats_.search_latency, queued_micros);
   Response response;
-  const auto record_latency = [&] {
-    stats_.search_latency.Record(queued_micros + MicrosSince(handle_start));
-  };
 
   // ---- parameter parsing (every failure is a 4xx) ----
   const auto get = [&request](const char* name) -> const std::string* {
@@ -249,32 +96,21 @@ Response RouterService::HandleSearch(const HttpRequest& request,
   };
   const std::string* q = get("q");
   if (q == nullptr) {
-    response.status_code = 400;
-    response.body =
-        ErrorBody(Status::InvalidArgument("missing required parameter: q"));
-    record_latency();
-    return response;
+    return ErrorResponse(
+        Status::InvalidArgument("missing required parameter: q"));
   }
   std::string scheme = "MeanSum";
   if (const std::string* text = get("scheme")) scheme = *text;
   size_t k = options_.default_top_k;
   if (const std::string* text = get("k")) {
     StatusOr<size_t> value = core::ParseCount(*text, "k");
-    if (!value.ok()) {
-      response.status_code = HttpCodeForStatus(value.status());
-      response.body = ErrorBody(value.status());
-      record_latency();
-      return response;
-    }
+    if (!value.ok()) return ErrorResponse(value.status());
     k = *value;
   }
   if (k == 0 || k > options_.max_top_k) {
-    response.status_code = 400;
-    response.body = ErrorBody(Status::InvalidArgument(
+    return ErrorResponse(Status::InvalidArgument(
         "k must be in [1, " + std::to_string(options_.max_top_k) +
         "] (distributed search cannot return unbounded result sets)"));
-    record_latency();
-    return response;
   }
   uint64_t deadline_ms = options_.default_deadline_ms;
   if (const std::string* text = get("deadline_ms")) {
@@ -283,10 +119,7 @@ Response RouterService::HandleSearch(const HttpRequest& request,
       const Status status =
           value.ok() ? Status::InvalidArgument("deadline_ms must be > 0")
                      : value.status();
-      response.status_code = HttpCodeForStatus(status);
-      response.body = ErrorBody(status);
-      record_latency();
-      return response;
+      return ErrorResponse(status);
     }
     deadline_ms = std::min<uint64_t>(*value, options_.max_deadline_ms);
   }
@@ -299,18 +132,10 @@ Response RouterService::HandleSearch(const HttpRequest& request,
   // registry as the shards), so malformed input burns zero shard budget
   // and the term list for the stats exchange falls out of the parse.
   StatusOr<mcalc::Query> parsed = mcalc::ParseQuery(*q);
-  if (!parsed.ok()) {
-    response.status_code = HttpCodeForStatus(parsed.status());
-    response.body = ErrorBody(parsed.status());
-    record_latency();
-    return response;
-  }
+  if (!parsed.ok()) return ErrorResponse(parsed.status());
   if (sa::SchemeRegistry::Global().Lookup(scheme) == nullptr) {
-    response.status_code = 404;
-    response.body =
-        ErrorBody(Status::NotFound("unknown scoring scheme: " + scheme));
-    record_latency();
-    return response;
+    return ErrorResponse(
+        Status::NotFound("unknown scoring scheme: " + scheme));
   }
   std::vector<std::string> terms;
   terms.reserve(parsed->variables.size());
@@ -321,15 +146,12 @@ Response RouterService::HandleSearch(const HttpRequest& request,
   stats_.scheme_counts.Record(scheme);
 
   // ---- fan out ----
-  const uint64_t spent_ms =
-      (queued_micros + MicrosSince(handle_start)) / 1000;
+  const uint64_t spent_ms = latency.elapsed_micros() / 1000;
   if (spent_ms >= deadline_ms) {
     response.status_code = 504;
-    response.retry_after_s = options_.retry_after_s;
     response.body = ErrorBody(Status::FailedPrecondition(
         "deadline of " + std::to_string(deadline_ms) +
         "ms elapsed before fan-out"));
-    record_latency();
     return response;
   }
   const std::string tail = "q=" + server::UrlEncode(*q) +
@@ -339,19 +161,17 @@ Response RouterService::HandleSearch(const HttpRequest& request,
   if (!gathered.ok()) {
     // A client mistake stays 4xx; everything else is the gateway speaking
     // for unreachable/failed shards.
-    const int mapped = HttpCodeForStatus(gathered.status());
-    response.status_code = mapped == 400 || mapped == 404 ? mapped : 502;
-    response.body = ErrorBody(gathered.status());
-    record_latency();
+    response = ErrorResponse(gathered.status());
+    if (response.status_code != 400 && response.status_code != 404) {
+      response.status_code = 502;
+    }
     return response;
   }
-  if ((queued_micros + MicrosSince(handle_start)) / 1000 >= deadline_ms) {
+  if (latency.elapsed_micros() / 1000 >= deadline_ms) {
     response.status_code = 504;
-    response.retry_after_s = options_.retry_after_s;
     response.body = ErrorBody(Status::FailedPrecondition(
         "deadline of " + std::to_string(deadline_ms) +
         "ms exceeded during fan-out"));
-    record_latency();
     return response;
   }
 
@@ -375,8 +195,7 @@ Response RouterService::HandleSearch(const HttpRequest& request,
   AppendMsField(&body, "queue_ms", static_cast<double>(queued_micros));
   body += ",";
   AppendMsField(&body, "total_ms",
-                static_cast<double>(queued_micros +
-                                    MicrosSince(handle_start)));
+                static_cast<double>(latency.elapsed_micros()));
   body += "},";
   if (explain) {
     body += "\"explain\":{\"stats_epoch\":";
@@ -401,7 +220,6 @@ Response RouterService::HandleSearch(const HttpRequest& request,
   body += server::SearchService::FormatResultsFragment(gathered->results);
   body += "}";
   response.body = std::move(body);
-  record_latency();
   return response;
 }
 
@@ -432,48 +250,20 @@ Response RouterService::HandleHealthz() const {
 
 Response RouterService::HandleStats() const {
   const GatherCounters& gather = gather_->counters();
-  Response response;
-  std::string body = "{\"requests_total\":";
-  body += std::to_string(stats_.requests_total.load(std::memory_order_relaxed));
-  body += ",\"responses_ok\":";
-  body += std::to_string(stats_.responses_ok.load(std::memory_order_relaxed));
-  body += ",\"client_errors\":";
-  body += std::to_string(stats_.client_errors.load(std::memory_order_relaxed));
-  body += ",\"bad_gateway\":";
-  body += std::to_string(stats_.bad_gateway.load(std::memory_order_relaxed));
-  body += ",\"rejected_overload\":";
-  body += std::to_string(
-      stats_.rejected_overload.load(std::memory_order_relaxed));
-  body += ",\"deadline_exceeded\":";
-  body += std::to_string(
-      stats_.deadline_exceeded.load(std::memory_order_relaxed));
-  body += ",\"malformed_requests\":";
-  body += std::to_string(
-      stats_.malformed_requests.load(std::memory_order_relaxed));
-  body += ",\"partial_responses\":";
-  body += std::to_string(
-      stats_.partial_responses.load(std::memory_order_relaxed));
-  body += ",\"gathers\":{\"total\":";
-  body += std::to_string(gather.gathers_total.load(std::memory_order_relaxed));
-  body += ",\"ok\":";
-  body += std::to_string(gather.gathers_ok.load(std::memory_order_relaxed));
-  body += ",\"partial\":";
-  body +=
-      std::to_string(gather.gathers_partial.load(std::memory_order_relaxed));
-  body += ",\"failed\":";
-  body += std::to_string(gather.gathers_failed.load(std::memory_order_relaxed));
-  body += ",\"hedges_launched\":";
-  body +=
-      std::to_string(gather.hedges_launched.load(std::memory_order_relaxed));
-  body += ",\"hedges_won\":";
-  body += std::to_string(gather.hedges_won.load(std::memory_order_relaxed));
-  body += ",\"stats_refreshes\":";
-  body +=
-      std::to_string(gather.stats_refreshes.load(std::memory_order_relaxed));
-  body += ",\"gen_conflicts\":";
-  body += std::to_string(gather.gen_conflicts.load(std::memory_order_relaxed));
-  body += "},\"stats_epoch\":";
-  body += std::to_string(gather_->stats_epoch());
+  const auto load = [](const std::atomic<uint64_t>& counter) {
+    return std::to_string(counter.load(std::memory_order_relaxed));
+  };
+  std::string body = "{" + stats_.ToJsonFields(kOutcomeNames);
+  body += ",\"partial_responses\":" + load(stats_.partial_responses);
+  body += ",\"gathers\":{\"total\":" + load(gather.gathers_total);
+  body += ",\"ok\":" + load(gather.gathers_ok);
+  body += ",\"partial\":" + load(gather.gathers_partial);
+  body += ",\"failed\":" + load(gather.gathers_failed);
+  body += ",\"hedges_launched\":" + load(gather.hedges_launched);
+  body += ",\"hedges_won\":" + load(gather.hedges_won);
+  body += ",\"stats_refreshes\":" + load(gather.stats_refreshes);
+  body += ",\"gen_conflicts\":" + load(gather.gen_conflicts);
+  body += "},\"stats_epoch\":" + std::to_string(gather_->stats_epoch());
   body += ",\"shards\":[";
   for (size_t i = 0; i < gather_->shard_count(); ++i) {
     const ShardClient& shard = gather_->shard(i);
@@ -482,163 +272,102 @@ Response RouterService::HandleStats() const {
     body += "{\"shard\":" + std::to_string(i);
     body += ",\"replicas\":" + std::to_string(shard.replica_count());
     body += ",\"healthy\":" + std::to_string(shard.healthy_count());
-    body += ",\"attempts\":" +
-            std::to_string(counters.attempts.load(std::memory_order_relaxed));
-    body += ",\"failures\":" +
-            std::to_string(counters.failures.load(std::memory_order_relaxed));
-    body += ",\"retries\":" +
-            std::to_string(counters.retries.load(std::memory_order_relaxed));
-    body += ",\"ejections\":" +
-            std::to_string(counters.ejections.load(std::memory_order_relaxed));
-    body += ",\"readmissions\":" + std::to_string(counters.readmissions.load(
-                                       std::memory_order_relaxed));
-    body += ",\"probes\":" +
-            std::to_string(counters.probes.load(std::memory_order_relaxed));
+    body += ",\"attempts\":" + load(counters.attempts);
+    body += ",\"failures\":" + load(counters.failures);
+    body += ",\"retries\":" + load(counters.retries);
+    body += ",\"ejections\":" + load(counters.ejections);
+    body += ",\"readmissions\":" + load(counters.readmissions);
+    body += ",\"probes\":" + load(counters.probes);
     body += "}";
   }
-  body += "],\"search_latency\":";
-  body += stats_.search_latency.ToJson();
-  body += ",\"by_scheme\":";
-  body += stats_.scheme_counts.ToJson();
-  body += ",\"uptime_s\":";
-  body += std::to_string(MicrosSince(started_at_) / 1000000);
-  body += "}";
+  body += "],\"uptime_s\":" + std::to_string(http_.uptime_s()) + "}";
+  Response response;
   response.body = std::move(body);
   return response;
 }
 
 Response RouterService::HandleMetrics() const {
   const GatherCounters& gather = gather_->counters();
-  Response response;
-  response.content_type = "text/plain; version=0.0.4; charset=utf-8";
-  std::string body;
-  AppendCounterMetric(&body, "graft_router_requests_total",
-                      "Connections accepted by the router.",
-                      stats_.requests_total.load(std::memory_order_relaxed));
-  AppendCounterMetric(&body, "graft_router_responses_ok_total",
-                      "2xx responses (including degraded partials).",
-                      stats_.responses_ok.load(std::memory_order_relaxed));
-  AppendCounterMetric(&body, "graft_router_client_errors_total",
-                      "4xx responses.",
-                      stats_.client_errors.load(std::memory_order_relaxed));
-  AppendCounterMetric(&body, "graft_router_bad_gateway_total",
-                      "502s: shard failures the policy would not degrade.",
-                      stats_.bad_gateway.load(std::memory_order_relaxed));
-  AppendCounterMetric(
-      &body, "graft_router_rejected_overload_total",
-      "503s from the admission cap or shutdown.",
-      stats_.rejected_overload.load(std::memory_order_relaxed));
-  AppendCounterMetric(
-      &body, "graft_router_deadline_exceeded_total", "504s.",
-      stats_.deadline_exceeded.load(std::memory_order_relaxed));
-  AppendCounterMetric(
-      &body, "graft_router_partial_responses_total",
-      "Degraded 200s: some shard did not contribute.",
-      stats_.partial_responses.load(std::memory_order_relaxed));
-  AppendCounterMetric(&body, "graft_router_gathers_total",
-                      "Scatter-gather rounds started.",
-                      gather.gathers_total.load(std::memory_order_relaxed));
-  AppendCounterMetric(&body, "graft_router_gathers_partial_total",
-                      "Gathers merged from a strict subset of shards.",
-                      gather.gathers_partial.load(std::memory_order_relaxed));
-  AppendCounterMetric(&body, "graft_router_gathers_failed_total",
-                      "Gathers that returned an error to the caller.",
-                      gather.gathers_failed.load(std::memory_order_relaxed));
-  AppendCounterMetric(&body, "graft_router_hedges_launched_total",
-                      "Hedged second requests sent to straggler shards.",
-                      gather.hedges_launched.load(std::memory_order_relaxed));
-  AppendCounterMetric(&body, "graft_router_hedges_won_total",
-                      "Hedged requests that beat the primary.",
-                      gather.hedges_won.load(std::memory_order_relaxed));
-  AppendCounterMetric(&body, "graft_router_stats_refreshes_total",
-                      "Stats-epoch invalidations (generation moved).",
-                      gather.stats_refreshes.load(std::memory_order_relaxed));
-  AppendCounterMetric(&body, "graft_router_gen_conflicts_total",
-                      "409 Conflict replies observed from shards.",
-                      gather.gen_conflicts.load(std::memory_order_relaxed));
-
-  body += "# HELP graft_router_stats_epoch Current pinned-stats epoch.\n";
-  body += "# TYPE graft_router_stats_epoch gauge\n";
-  body += "graft_router_stats_epoch " +
-          std::to_string(gather_->stats_epoch()) + "\n";
+  std::string body = stats_.ToPrometheus(kOutcomeNames);
+  const struct {
+    const char* name;
+    const char* help;
+    const std::atomic<uint64_t>& counter;
+  } counters[] = {
+      {"graft_router_partial_responses_total",
+       "Degraded 200s: some shard did not contribute.",
+       stats_.partial_responses},
+      {"graft_router_gathers_total", "Scatter-gather rounds started.",
+       gather.gathers_total},
+      {"graft_router_gathers_partial_total",
+       "Gathers merged from a strict subset of shards.",
+       gather.gathers_partial},
+      {"graft_router_gathers_failed_total",
+       "Gathers that returned an error to the caller.", gather.gathers_failed},
+      {"graft_router_hedges_launched_total",
+       "Hedged second requests sent to straggler shards.",
+       gather.hedges_launched},
+      {"graft_router_hedges_won_total",
+       "Hedged requests that beat the primary.", gather.hedges_won},
+      {"graft_router_stats_refreshes_total",
+       "Stats-epoch invalidations (generation moved).",
+       gather.stats_refreshes},
+      {"graft_router_gen_conflicts_total",
+       "409 Conflict replies observed from shards.", gather.gen_conflicts},
+  };
+  for (const auto& row : counters) {
+    AppendMetric(&body, row.name, row.help, "counter",
+                 row.counter.load(std::memory_order_relaxed));
+  }
+  AppendMetric(&body, "graft_router_stats_epoch",
+               "Current pinned-stats epoch.", "gauge", gather_->stats_epoch());
 
   // Per-shard wire counters + health gauges, labeled by shard index.
-  body +=
-      "# HELP graft_router_shard_attempts_total Wire attempts per shard.\n";
-  body += "# TYPE graft_router_shard_attempts_total counter\n";
-  for (size_t i = 0; i < gather_->shard_count(); ++i) {
-    body += "graft_router_shard_attempts_total{shard=\"" +
-            std::to_string(i) + "\"} " +
-            std::to_string(gather_->shard(i).counters().attempts.load(
-                std::memory_order_relaxed)) +
-            "\n";
-  }
-  body += "# HELP graft_router_shard_failures_total Failed attempts "
-          "(transport or 5xx) per shard.\n";
-  body += "# TYPE graft_router_shard_failures_total counter\n";
-  for (size_t i = 0; i < gather_->shard_count(); ++i) {
-    body += "graft_router_shard_failures_total{shard=\"" +
-            std::to_string(i) + "\"} " +
-            std::to_string(gather_->shard(i).counters().failures.load(
-                std::memory_order_relaxed)) +
-            "\n";
-  }
-  body += "# HELP graft_router_shard_ejections_total Replica ejections "
-          "per shard.\n";
-  body += "# TYPE graft_router_shard_ejections_total counter\n";
-  for (size_t i = 0; i < gather_->shard_count(); ++i) {
-    body += "graft_router_shard_ejections_total{shard=\"" +
-            std::to_string(i) + "\"} " +
-            std::to_string(gather_->shard(i).counters().ejections.load(
-                std::memory_order_relaxed)) +
-            "\n";
-  }
-  body += "# HELP graft_router_shard_readmissions_total Probe-driven "
-          "replica readmissions per shard.\n";
-  body += "# TYPE graft_router_shard_readmissions_total counter\n";
-  for (size_t i = 0; i < gather_->shard_count(); ++i) {
-    body += "graft_router_shard_readmissions_total{shard=\"" +
-            std::to_string(i) + "\"} " +
-            std::to_string(gather_->shard(i).counters().readmissions.load(
-                std::memory_order_relaxed)) +
-            "\n";
-  }
-  body += "# HELP graft_router_shard_healthy_replicas Non-ejected "
-          "replicas per shard.\n";
-  body += "# TYPE graft_router_shard_healthy_replicas gauge\n";
-  for (size_t i = 0; i < gather_->shard_count(); ++i) {
-    body += "graft_router_shard_healthy_replicas{shard=\"" +
-            std::to_string(i) + "\"} " +
-            std::to_string(gather_->shard(i).healthy_count()) + "\n";
-  }
-
-  // Latency summary, matching the server's exposition shape.
-  body += "# HELP graft_router_search_latency_seconds /search latency.\n";
-  body += "# TYPE graft_router_search_latency_seconds summary\n";
   const struct {
-    const char* label;
-    double q;
-  } quantiles[] = {{"0.5", 0.5}, {"0.95", 0.95}, {"0.99", 0.99}};
-  char buf[128];
-  for (const auto& quantile : quantiles) {
-    std::snprintf(
-        buf, sizeof(buf),
-        "graft_router_search_latency_seconds{quantile=\"%s\"} %.6f\n",
-        quantile.label,
-        stats_.search_latency.PercentileMicros(quantile.q) / 1e6);
-    body += buf;
+    const char* name;
+    const char* help;
+    const char* type;
+    uint64_t (*value)(const ShardClient&);
+  } shard_series[] = {
+      {"graft_router_shard_attempts_total", "Wire attempts per shard.",
+       "counter",
+       [](const ShardClient& shard) -> uint64_t {
+         return shard.counters().attempts.load(std::memory_order_relaxed);
+       }},
+      {"graft_router_shard_failures_total",
+       "Failed attempts (transport or 5xx) per shard.", "counter",
+       [](const ShardClient& shard) -> uint64_t {
+         return shard.counters().failures.load(std::memory_order_relaxed);
+       }},
+      {"graft_router_shard_ejections_total", "Replica ejections per shard.",
+       "counter",
+       [](const ShardClient& shard) -> uint64_t {
+         return shard.counters().ejections.load(std::memory_order_relaxed);
+       }},
+      {"graft_router_shard_readmissions_total",
+       "Probe-driven replica readmissions per shard.", "counter",
+       [](const ShardClient& shard) -> uint64_t {
+         return shard.counters().readmissions.load(std::memory_order_relaxed);
+       }},
+      {"graft_router_shard_healthy_replicas",
+       "Non-ejected replicas per shard.", "gauge",
+       [](const ShardClient& shard) -> uint64_t {
+         return shard.healthy_count();
+       }},
+  };
+  for (const auto& series : shard_series) {
+    body += std::string("# HELP ") + series.name + " " + series.help +
+            "\n# TYPE " + series.name + " " + series.type + "\n";
+    for (size_t i = 0; i < gather_->shard_count(); ++i) {
+      body += std::string(series.name) + "{shard=\"" + std::to_string(i) +
+              "\"} " + std::to_string(series.value(gather_->shard(i))) + "\n";
+    }
   }
-  std::snprintf(buf, sizeof(buf),
-                "graft_router_search_latency_seconds_sum %.6f\n",
-                static_cast<double>(stats_.search_latency.sum_micros()) / 1e6);
-  body += buf;
-  body += "graft_router_search_latency_seconds_count " +
-          std::to_string(stats_.search_latency.count()) + "\n";
 
-  body += "# HELP graft_router_uptime_seconds Seconds since Start().\n";
-  body += "# TYPE graft_router_uptime_seconds gauge\n";
-  body += "graft_router_uptime_seconds " +
-          std::to_string(MicrosSince(started_at_) / 1000000) + "\n";
+  AppendMetric(&body, "graft_router_uptime_seconds", "Seconds since Start().",
+               "gauge", http_.uptime_s());
+  Response response;
+  response.content_type = "text/plain; version=0.0.4; charset=utf-8";
   response.body = std::move(body);
   return response;
 }

@@ -21,72 +21,40 @@
 //   GET /healthz -> 200 while any shard is reachable; reports per-shard
 //                   healthy replica counts.
 //
-// Concurrency model mirrors server::SearchService exactly (accept thread +
-// handler pool + connection-level admission cap + Retry-After on 503/504);
-// the request deadline budget is handed to ScatterGather, which spends it
-// across stats collection, retries, backoff, and hedges.
+// Accept, admission, Retry-After on 503/504 and drain come from the shared
+// server::HttpService skeleton (concurrency model in
+// src/server/http_service.h); this class holds only the routes. The request
+// deadline budget is handed to ScatterGather, which spends it across stats
+// collection, retries, backoff, and hedges.
 
 #ifndef GRAFT_ROUTER_ROUTER_SERVICE_H_
 #define GRAFT_ROUTER_ROUTER_SERVICE_H_
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "router/scatter_gather.h"
 #include "server/http.h"
-#include "server/search_service.h"
-#include "server/server_stats.h"
+#include "server/http_service.h"
 
 namespace graft::router {
 
-struct RouterOptions {
-  // 0 = kernel-assigned ephemeral port (tests; read back via port()).
-  uint16_t port = 0;
-  // Handler pool workers. 0 = hardware concurrency.
-  size_t handler_threads = 0;
-  // Admission cap, as in server::ServiceOptions.
-  size_t max_inflight = 64;
-  // Deadline budget applied when the client sends no deadline_ms; client
-  // values are clamped to max_deadline_ms.
-  uint64_t default_deadline_ms = 2000;
-  uint64_t max_deadline_ms = 30000;
-  size_t default_top_k = 10;
-  size_t max_top_k = 10000;
-  int io_timeout_ms = 5000;
-  unsigned retry_after_s = 1;
+struct RouterOptions : server::HttpServiceOptions {
   // Fan-out behavior (shard client retry discipline, hedging, partial
   // policy, probe cadence).
   ScatterGatherOptions gather;
 };
 
-// Cumulative router request counters. Same outcome identity as
-// server::ServerStats: responses_ok + client_errors + bad_gateway +
-// rejected_overload + deadline_exceeded (+ the malformed subset of 4xx)
-// partitions requests_total once drained.
-struct RouterStats {
-  std::atomic<uint64_t> requests_total{0};
-  std::atomic<uint64_t> responses_ok{0};        // 2xx (incl. degraded 200s)
-  std::atomic<uint64_t> client_errors{0};       // 4xx
-  std::atomic<uint64_t> bad_gateway{0};         // 502 (shard failures)
-  std::atomic<uint64_t> rejected_overload{0};   // 503
-  std::atomic<uint64_t> deadline_exceeded{0};   // 504
-  std::atomic<uint64_t> malformed_requests{0};
+// Cumulative router request counters: the shared request outcomes, whose
+// other-5xx counter (server_errors) the router exports as "bad_gateway",
+// plus degraded 200s.
+struct RouterStats : server::RequestOutcomes {
   // Degraded 200s: a partial merge was served under --policy partial.
   // Subset of responses_ok.
   std::atomic<uint64_t> partial_responses{0};
-  server::LatencyHistogram search_latency;
-  server::SchemeCounters scheme_counts;
-
-  void RecordResponseCode(int status_code);
 };
 
 class RouterService {
@@ -107,20 +75,17 @@ class RouterService {
   // Stops accepting, drains admitted requests, joins everything.
   void Shutdown();
 
-  uint16_t port() const { return listener_.port(); }
+  uint16_t port() const { return http_.port(); }
   const RouterStats& stats() const { return stats_; }
   ScatterGather& gather() { return *gather_; }
   const ScatterGather& gather() const { return *gather_; }
 
-  // Routes one parsed request; exposed so tests can drive the handler
-  // without sockets (mirrors SearchService::Handle).
+  // Routes one parsed request: the HttpService handler, exposed so tests
+  // can drive it without sockets.
   server::Response Handle(const server::HttpRequest& request,
                           uint64_t queued_micros);
 
  private:
-  void AcceptLoop();
-  void HandleConnection(int fd,
-                        std::chrono::steady_clock::time_point admitted);
   server::Response HandleSearch(const server::HttpRequest& request,
                                 uint64_t queued_micros);
   server::Response HandleStats() const;
@@ -130,19 +95,12 @@ class RouterService {
   const RouterOptions options_;
   std::unique_ptr<ScatterGather> gather_;
 
-  server::TcpListener listener_;
-  std::unique_ptr<common::ThreadPool> pool_;
-  std::thread accept_thread_;
-
-  std::atomic<bool> stopping_{false};
-  bool started_ = false;
-
-  std::atomic<size_t> inflight_{0};
-  std::mutex drain_mu_;
-  std::condition_variable drain_cv_;
-
   RouterStats stats_;
-  std::chrono::steady_clock::time_point started_at_;
+  server::HttpService http_{
+      options_, &stats_,
+      [this](const server::HttpRequest& request, uint64_t queued_micros) {
+        return Handle(request, queued_micros);
+      }};
 };
 
 }  // namespace graft::router

@@ -1,11 +1,8 @@
 #include "server/search_service.h"
 
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
+#include <thread>
 
 #include "common/failpoint.h"
 #include "core/rewrite_rules.h"
@@ -16,51 +13,9 @@ namespace graft::server {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 // Injectable between the successful load and the generation swap, so tests
 // can hold a reload failure at the last possible moment.
 GRAFT_DEFINE_FAILPOINT(g_fp_reload_swap, "service.reload.swap");
-
-uint64_t MicrosSince(Clock::time_point t0) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - t0)
-          .count());
-}
-
-std::string RetryAfterHeader(unsigned seconds) {
-  return "Retry-After: " + std::to_string(seconds) + "\r\n";
-}
-
-// Answers a connection that will not be handled (admission rejection or
-// shutdown) without ever reading the request. Closing with the client's
-// request bytes still unread would send an RST that can destroy the 503
-// before the client reads it, so: write the response, half-close (FIN),
-// then drain briefly until the client's FIN — bounded at ~50ms so a
-// stalled peer cannot wedge the accept thread.
-void RejectConnection(int fd, const std::string& body,
-                      unsigned retry_after_s) {
-  (void)WriteResponse(fd, 503, "application/json", body,
-                      RetryAfterHeader(retry_after_s));
-  ::shutdown(fd, SHUT_WR);
-  char drain[1024];
-  for (int spin = 0; spin < 50; ++spin) {
-    const ssize_t n = ::recv(fd, drain, sizeof(drain), MSG_DONTWAIT);
-    if (n == 0) break;  // clean FIN from the client
-    if (n < 0) {
-      if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
-  ::close(fd);
-}
-
-void AppendMsField(std::string* out, std::string_view name, double micros) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "\"%.*s\":%.3f",
-                static_cast<int>(name.size()), name.data(), micros / 1000.0);
-  *out += buf;
-}
 
 // The full per-operator counter object (the base "exec" block keeps its
 // original three fields for compatibility; explain gets everything).
@@ -144,27 +99,92 @@ void AppendExplainBlock(std::string* out, const core::SearchResult& result,
   *out += "]}";
 }
 
+// One server-side slot per exec-side slot: StampRuleCounters writes by
+// registry index, so the two arrays must stay width-matched.
+static_assert(ServerStats::kMaxRules == exec::ExecStats::kMaxRules,
+              "per-rule counter widths diverged");
+
+constexpr OutcomeNames kOutcomeNames{"graft_", "server_errors",
+                                     "scheme_counts"};
+
+// The counters ServerStats adds to the shared outcomes: /stats key,
+// metric name, help text.
+const struct {
+  const char* key;
+  const char* metric;
+  const char* help;
+  std::atomic<uint64_t> ServerStats::*field;
+} kServerCounters[] = {
+    {"reloads_ok", "graft_reloads_ok_total", "Successful hot reloads.",
+     &ServerStats::reloads_ok},
+    {"reloads_failed", "graft_reloads_failed_total", "Failed hot reloads.",
+     &ServerStats::reloads_failed},
+    {"slow_queries", "graft_slow_queries_total",
+     "Searches over the slow-query threshold.", &ServerStats::slow_queries},
+    {"generation_conflicts", "graft_generation_conflicts_total",
+     "409s: router expect_gen stale after a reload.",
+     &ServerStats::generation_conflicts},
+    {"shard_stats_requests", "graft_shard_stats_requests_total",
+     "/shard/stats requests (router stats exchange phase 1).",
+     &ServerStats::shard_stats_requests},
+    {"pruned_searches", "graft_pruned_searches_total",
+     "Searches served by the block-max pruned top-k operator.",
+     &ServerStats::pruned_searches},
+    {"topk_blocks_skipped", "graft_topk_blocks_skipped_total",
+     "Posting blocks skipped via block-max ceilings.",
+     &ServerStats::topk_blocks_skipped},
+};
+
 }  // namespace
 
-int HttpCodeForStatus(const Status& status) {
-  switch (status.code()) {
-    case StatusCode::kInvalidArgument:
-    case StatusCode::kOutOfRange:
-      return 400;
-    case StatusCode::kNotFound:
-      return 404;
-    default:
-      return 500;
+std::string ServerStats::ToJson() const {
+  std::string out = "{" + ToJsonFields(kOutcomeNames);
+  for (const auto& row : kServerCounters) {
+    out += ",\"";
+    out += row.key;
+    out += "\":";
+    out += std::to_string((this->*row.field).load(std::memory_order_relaxed));
   }
+  out += ",\"rule_fired\":{";
+  const auto& rules = core::RewriteRuleRegistry::Global().All();
+  bool first = true;
+  for (size_t i = 0; i < rules.size() && i < kMaxRules; ++i) {
+    const uint64_t n = rule_fired[i].load(std::memory_order_relaxed);
+    if (n == 0) continue;
+    if (!first) out += ",";
+    first = false;
+    out += "\"" + rules[i].id + "\":" + std::to_string(n);
+  }
+  out += "}}";
+  return out;
 }
 
-std::string ErrorBody(const Status& status) {
-  std::string body = "{\"error\":\"";
-  JsonAppendEscaped(&body, StatusCodeName(status.code()));
-  body += "\",\"message\":\"";
-  JsonAppendEscaped(&body, status.message());
-  body += "\"}";
-  return body;
+std::string ServerStats::ToPrometheus() const {
+  std::string out = RequestOutcomes::ToPrometheus(kOutcomeNames);
+  for (const auto& row : kServerCounters) {
+    AppendMetric(&out, row.metric, row.help, "counter",
+                 (this->*row.field).load(std::memory_order_relaxed));
+  }
+  const auto& rules = core::RewriteRuleRegistry::Global().All();
+  bool any = false;
+  for (size_t i = 0; i < rules.size() && i < kMaxRules; ++i) {
+    any = any || rule_fired[i].load(std::memory_order_relaxed) != 0;
+  }
+  if (any) {
+    out +=
+        "# HELP graft_rewrite_rule_fired_total Rewrite-rule applications "
+        "per catalog rule across served searches.\n"
+        "# TYPE graft_rewrite_rule_fired_total counter\n";
+    for (size_t i = 0; i < rules.size() && i < kMaxRules; ++i) {
+      const uint64_t n = rule_fired[i].load(std::memory_order_relaxed);
+      if (n == 0) continue;
+      // Rule ids are stable lowercase identifiers — no label escaping
+      // needed beyond quoting.
+      out += "graft_rewrite_rule_fired_total{rule=\"" + rules[i].id +
+             "\"} " + std::to_string(n) + "\n";
+    }
+  }
+  return out;
 }
 
 std::string SearchService::FormatResultsFragment(
@@ -221,35 +241,9 @@ SearchService::SearchService(std::shared_ptr<const core::EngineBundle> bundle,
 
 SearchService::~SearchService() { Shutdown(); }
 
-Status SearchService::Start() {
-  if (started_) {
-    return Status::FailedPrecondition("service already started");
-  }
-  GRAFT_RETURN_IF_ERROR(listener_.Bind(options_.port));
-  pool_ = std::make_unique<common::ThreadPool>(options_.handler_threads);
-  started_at_ = Clock::now();
-  started_ = true;
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return Status::Ok();
-}
+Status SearchService::Start() { return http_.Start(); }
 
-void SearchService::Shutdown() {
-  if (!started_) return;
-  stopping_.store(true, std::memory_order_release);
-  listener_.Interrupt();  // unblocks the pending accept
-  if (accept_thread_.joinable()) accept_thread_.join();
-  listener_.Close();  // safe: no Accept can be running anymore
-  // Drain: every admitted connection either has a handler queued or
-  // running on the pool; wait until each has written its response.
-  {
-    std::unique_lock<std::mutex> lock(drain_mu_);
-    drain_cv_.wait(lock,
-                   [this] { return inflight_.load(std::memory_order_acquire) ==
-                                   0; });
-  }
-  pool_.reset();  // queue is empty by now; joins the workers
-  started_ = false;
-}
+void SearchService::Shutdown() { http_.Shutdown(); }
 
 Status SearchService::Reload() {
   std::lock_guard<std::mutex> lock(reload_mu_);
@@ -303,87 +297,15 @@ Status SearchService::Reload() {
   return Status::Ok();
 }
 
-void SearchService::AcceptLoop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    StatusOr<int> accepted = listener_.Accept(options_.io_timeout_ms);
-    if (!accepted.ok()) {
-      // Accept fails persistently only when the listener is closed
-      // (shutdown) or the process is out of fds; both end the loop.
-      if (stopping_.load(std::memory_order_acquire)) break;
-      // Transient failure (e.g. out of fds): back off instead of spinning.
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      continue;
-    }
-    const int fd = *accepted;
-    stats_.requests_total.fetch_add(1, std::memory_order_relaxed);
-
-    // Connection-level admission: bound queued + running handlers.
-    const size_t inflight =
-        inflight_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    if (inflight > options_.max_inflight ||
-        stopping_.load(std::memory_order_acquire)) {
-      // Fast rejection from the accept thread: no request read, no queue.
-      const Status reason =
-          inflight > options_.max_inflight
-              ? Status::FailedPrecondition("server overloaded; retry")
-              : Status::FailedPrecondition("server shutting down");
-      RejectConnection(fd, ErrorBody(reason), options_.retry_after_s);
-      stats_.RecordResponseCode(503);
-      if (inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(drain_mu_);
-        drain_cv_.notify_all();
-      }
-      continue;
-    }
-
-    const Clock::time_point admitted = Clock::now();
-    pool_->Submit([this, fd, admitted] { HandleConnection(fd, admitted); });
-  }
-}
-
-void SearchService::HandleConnection(int fd, Clock::time_point admitted) {
-  const uint64_t queued_micros = MicrosSince(admitted);
-  StatusOr<HttpRequest> request = ReadRequest(fd);
-  Response response;
-  if (!request.ok()) {
-    stats_.malformed_requests.fetch_add(1, std::memory_order_relaxed);
-    response.status_code = 400;
-    response.body = ErrorBody(request.status());
-  } else {
-    response = Handle(*request, queued_micros);
-  }
-  const std::string extra_headers =
-      response.retry_after_s > 0 ? RetryAfterHeader(response.retry_after_s)
-                                 : std::string();
-  (void)WriteResponse(fd, response.status_code, response.content_type,
-                      response.body, extra_headers);
-  ::close(fd);
-  stats_.RecordResponseCode(response.status_code);
-  if (inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard<std::mutex> lock(drain_mu_);
-    drain_cv_.notify_all();
-  }
-}
-
 Response SearchService::Handle(const HttpRequest& request,
                                uint64_t queued_micros) {
-  Response response;
-  if (request.method != "GET") {
-    response.status_code = 405;
-    response.body = ErrorBody(
-        Status::InvalidArgument("only GET is supported"));
-    return response;
-  }
   if (request.path == "/healthz") return HandleHealthz();
   if (request.path == "/shard/stats") return HandleShardStats(request);
   if (request.path == "/stats") return HandleStats();
   if (request.path == "/metrics") return HandleMetrics();
   if (request.path == "/admin/reload") return HandleReload();
   if (request.path == "/search") return HandleSearch(request, queued_micros);
-  response.status_code = 404;
-  response.body =
-      ErrorBody(Status::NotFound("no such endpoint: " + request.path));
-  return response;
+  return ErrorResponse(Status::NotFound("no such endpoint: " + request.path));
 }
 
 Response SearchService::HandleShardStats(const HttpRequest& request) {
@@ -457,7 +379,7 @@ Response SearchService::HandleStats() const {
   // Splice uptime + reload state into the stats object.
   body.pop_back();  // trailing '}'
   body += ",\"uptime_s\":";
-  body += std::to_string(MicrosSince(started_at_) / 1000000);
+  body += std::to_string(http_.uptime_s());
   body += ",\"index_generation\":";
   body += std::to_string(generation());
   body += ",\"degraded\":";
@@ -489,20 +411,15 @@ Response SearchService::HandleMetrics() const {
   response.content_type = "text/plain; version=0.0.4; charset=utf-8";
   std::string body = stats_.ToPrometheus();
   // Service-level gauges live here, next to the counters ServerStats owns.
-  body += "# HELP graft_inflight_requests Admitted but unanswered requests.\n";
-  body += "# TYPE graft_inflight_requests gauge\n";
-  body += "graft_inflight_requests " +
-          std::to_string(inflight_.load(std::memory_order_relaxed)) + "\n";
-  body += "# HELP graft_index_generation Engine generation (1 + reloads).\n";
-  body += "# TYPE graft_index_generation gauge\n";
-  body += "graft_index_generation " + std::to_string(generation()) + "\n";
-  body += "# HELP graft_degraded 1 while the last reload attempt failed.\n";
-  body += "# TYPE graft_degraded gauge\n";
-  body += std::string("graft_degraded ") + (degraded() ? "1" : "0") + "\n";
-  body += "# HELP graft_uptime_seconds Seconds since Start().\n";
-  body += "# TYPE graft_uptime_seconds gauge\n";
-  body += "graft_uptime_seconds " +
-          std::to_string(MicrosSince(started_at_) / 1000000) + "\n";
+  AppendMetric(&body, "graft_inflight_requests",
+               "Admitted but unanswered requests.", "gauge", http_.inflight());
+  AppendMetric(&body, "graft_index_generation",
+               "Engine generation (1 + reloads).", "gauge", generation());
+  AppendMetric(&body, "graft_degraded",
+               "1 while the last reload attempt failed.", "gauge",
+               degraded() ? 1 : 0);
+  AppendMetric(&body, "graft_uptime_seconds", "Seconds since Start().",
+               "gauge", http_.uptime_s());
   if (block_cache_ != nullptr) {
     const index::BlockCache::Snapshot cache = block_cache_->snapshot();
     const struct {
@@ -534,9 +451,7 @@ Response SearchService::HandleMetrics() const {
          "gauge", cache.entries},
     };
     for (const auto& row : rows) {
-      body += std::string("# HELP ") + row.name + " " + row.help + "\n";
-      body += std::string("# TYPE ") + row.name + " " + row.type + "\n";
-      body += std::string(row.name) + " " + std::to_string(row.value) + "\n";
+      AppendMetric(&body, row.name, row.help, row.type, row.value);
     }
   }
   response.body = std::move(body);
@@ -567,7 +482,9 @@ Response SearchService::HandleReload() {
 
 Response SearchService::HandleSearch(const HttpRequest& request,
                                      uint64_t queued_micros) {
-  const Clock::time_point handle_start = Clock::now();
+  // The single exit point for the latency record: every /search response
+  // is counted, whatever code it carries.
+  const LatencyScope latency(&stats_.search_latency, queued_micros);
   Response response;
 
   // ---- parameter parsing: every failure is a 4xx, never a crash ----
@@ -579,10 +496,8 @@ Response SearchService::HandleSearch(const HttpRequest& request,
   };
   const std::string* q = get("q");
   if (q == nullptr) {
-    response.status_code = 400;
-    response.body = ErrorBody(
+    return ErrorResponse(
         Status::InvalidArgument("missing required parameter: q"));
-    return response;
   }
   params.query = *q;
   params.top_k = options_.default_top_k;
@@ -599,9 +514,7 @@ Response SearchService::HandleSearch(const HttpRequest& request,
     if (const std::string* text = get(field.name)) {
       StatusOr<size_t> value = core::ParseCount(*text, field.name);
       if (!value.ok()) {
-        response.status_code = HttpCodeForStatus(value.status());
-        response.body = ErrorBody(value.status());
-        return response;
+        return ErrorResponse(value.status());
       }
       *field.out = *value;
     }
@@ -612,18 +525,14 @@ Response SearchService::HandleSearch(const HttpRequest& request,
       const Status status =
           value.ok() ? Status::InvalidArgument("deadline_ms must be > 0")
                      : value.status();
-      response.status_code = HttpCodeForStatus(status);
-      response.body = ErrorBody(status);
-      return response;
+      return ErrorResponse(status);
     }
     deadline_ms = std::min<uint64_t>(*value, options_.max_deadline_ms);
   }
   if (params.top_k > options_.max_top_k) {
-    response.status_code = 400;
-    response.body = ErrorBody(Status::InvalidArgument(
+    return ErrorResponse(Status::InvalidArgument(
         "k exceeds the server limit of " +
         std::to_string(options_.max_top_k)));
-    return response;
   }
   bool explain = false;
   if (const std::string* text = get("explain")) {
@@ -645,9 +554,7 @@ Response SearchService::HandleSearch(const HttpRequest& request,
   if (const std::string* text = get("expect_gen")) {
     StatusOr<size_t> expected = core::ParseCount(*text, "expect_gen");
     if (!expected.ok()) {
-      response.status_code = HttpCodeForStatus(expected.status());
-      response.body = ErrorBody(expected.status());
-      return response;
+      return ErrorResponse(expected.status());
     }
     if (*expected != pinned_generation) {
       stats_.generation_conflicts.fetch_add(1, std::memory_order_relaxed);
@@ -655,7 +562,6 @@ Response SearchService::HandleSearch(const HttpRequest& request,
       response.body = "{\"error\":\"generation_conflict\",\"expected\":" +
                       std::to_string(*expected) + ",\"generation\":" +
                       std::to_string(pinned_generation) + "}";
-      stats_.search_latency.Record(queued_micros + MicrosSince(handle_start));
       return response;
     }
   }
@@ -663,10 +569,7 @@ Response SearchService::HandleSearch(const HttpRequest& request,
   StatusOr<core::ResolvedRequest> resolved =
       core::ResolveRequest(*engine, params);
   if (!resolved.ok()) {
-    response.status_code = HttpCodeForStatus(resolved.status());
-    response.body = ErrorBody(resolved.status());
-    stats_.search_latency.Record(queued_micros + MicrosSince(handle_start));
-    return response;
+    return ErrorResponse(resolved.status());
   }
   common::QueryTrace trace;  // outlives the engine call
   if (explain) {
@@ -681,10 +584,7 @@ Response SearchService::HandleSearch(const HttpRequest& request,
   if (const std::string* text = get("gstats")) {
     StatusOr<PinnedStats> pinned = DecodePinnedStats(*text);
     if (!pinned.ok()) {
-      response.status_code = HttpCodeForStatus(pinned.status());
-      response.body = ErrorBody(pinned.status());
-      stats_.search_latency.Record(queued_micros + MicrosSince(handle_start));
-      return response;
+      return ErrorResponse(pinned.status());
     }
     pinned_overlay = ToOverlay(*pinned);
     resolved->options.stats_overlay = &pinned_overlay;
@@ -697,16 +597,11 @@ Response SearchService::HandleSearch(const HttpRequest& request,
   }
 
   // ---- deadline: queued time counts against the budget ----
-  const auto elapsed_ms = [&] {
-    return (queued_micros + MicrosSince(handle_start)) / 1000;
-  };
-  if (elapsed_ms() >= deadline_ms) {
+  if (latency.elapsed_micros() / 1000 >= deadline_ms) {
     response.status_code = 504;
-    response.retry_after_s = options_.retry_after_s;
     response.body = ErrorBody(Status::FailedPrecondition(
         "deadline of " + std::to_string(deadline_ms) +
         "ms elapsed before execution"));
-    stats_.search_latency.Record(queued_micros + MicrosSince(handle_start));
     return response;
   }
 
@@ -736,8 +631,7 @@ Response SearchService::HandleSearch(const HttpRequest& request,
   // Slow-query log: threshold on the full latency the client saw
   // (queue + handling), which is what a tail-latency alert fires on.
   if (options_.slow_query_ms > 0 &&
-      queued_micros + MicrosSince(handle_start) >=
-          options_.slow_query_ms * 1000) {
+      latency.elapsed_micros() >= options_.slow_query_ms * 1000) {
     stats_.slow_queries.fetch_add(1, std::memory_order_relaxed);
     std::string counters;
     if (result.ok()) {
@@ -751,28 +645,21 @@ Response SearchService::HandleSearch(const HttpRequest& request,
     std::fprintf(stderr,
                  "[slow-query] total=%.1fms queue=%.1fms engine=%.1fms "
                  "scheme=%s%s query=%s\n",
-                 static_cast<double>(queued_micros +
-                                     MicrosSince(handle_start)) /
-                     1000.0,
+                 static_cast<double>(latency.elapsed_micros()) / 1000.0,
                  static_cast<double>(queued_micros) / 1000.0,
                  static_cast<double>(engine_micros) / 1000.0,
                  params.scheme.c_str(), counters.c_str(),
                  params.query.c_str());
   }
   if (!result.ok()) {
-    response.status_code = HttpCodeForStatus(result.status());
-    response.body = ErrorBody(result.status());
-    stats_.search_latency.Record(queued_micros + MicrosSince(handle_start));
-    return response;
+    return ErrorResponse(result.status());
   }
-  if (elapsed_ms() >= deadline_ms) {
+  if (latency.elapsed_micros() / 1000 >= deadline_ms) {
     // The engine is not preemptible; the honest answer is a late 504.
     response.status_code = 504;
-    response.retry_after_s = options_.retry_after_s;
     response.body = ErrorBody(Status::FailedPrecondition(
         "deadline of " + std::to_string(deadline_ms) +
         "ms exceeded during execution"));
-    stats_.search_latency.Record(queued_micros + MicrosSince(handle_start));
     return response;
   }
 
@@ -797,7 +684,7 @@ Response SearchService::HandleSearch(const HttpRequest& request,
   AppendMsField(&body, "engine_ms", static_cast<double>(engine_micros));
   body += ",";
   AppendMsField(&body, "total_ms",
-                static_cast<double>(queued_micros + MicrosSince(handle_start)));
+                static_cast<double>(latency.elapsed_micros()));
   body += "},\"exec\":{\"docs_visited\":";
   body += std::to_string(result->exec_stats.docs_visited);
   body += ",\"rows_built\":";
@@ -812,7 +699,6 @@ Response SearchService::HandleSearch(const HttpRequest& request,
   body += FormatResultsFragment(result->results);
   body += "}";
   response.body = std::move(body);
-  stats_.search_latency.Record(queued_micros + MicrosSince(handle_start));
   return response;
 }
 

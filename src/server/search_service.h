@@ -25,23 +25,9 @@
 //   GET /healthz -> 200 {"status":"ok"|"degraded",...} — used by probes.
 //   GET /admin/reload -> swap in a freshly loaded engine (see below).
 //
-// Concurrency model (mirrors DESIGN.md §2c):
-//   * one blocking accept thread; each accepted connection is one request
-//     (Connection: close) handled as a task on a common::ThreadPool;
-//   * admission control is connection-level: an atomic in-flight count
-//     (running + queued handlers) is capped at max_inflight, and a
-//     connection over the cap gets an immediate 503 written from the
-//     accept thread — the pool queue can never grow beyond max_inflight,
-//     so overload degrades into fast rejections, not latency collapse;
-//   * per-request deadlines are measured from admission: a request whose
-//     deadline elapsed while queued is answered 504 without touching the
-//     engine, and one that exceeds it during execution is answered 504
-//     after the fact (the engine is not preemptible mid-query);
-//   * 503 and 504 responses carry a Retry-After header so well-behaved
-//     clients back off instead of hammering an overloaded server;
-//   * Shutdown() stops accepting, drains every admitted request to a
-//     written response, then joins the pool — in-flight work is never
-//     dropped (SIGINT/SIGTERM in graft_server map to exactly this).
+// Accept, admission, deadlines measured from admission, Retry-After and
+// drain come from the shared server::HttpService skeleton (see the
+// concurrency model in http_service.h); this class holds only the routes.
 //
 // Hot reload (DESIGN.md §2d): the engine is held behind a mutex-guarded
 // shared_ptr snapshot (one uncontended pointer copy per request — noise
@@ -61,43 +47,21 @@
 #define GRAFT_SERVER_SEARCH_SERVICE_H_
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/engine.h"
 #include "core/request.h"
 #include "ma/match_table.h"
 #include "server/http.h"
-#include "server/server_stats.h"
+#include "server/http_service.h"
 
 namespace graft::server {
 
-struct ServiceOptions {
-  // 0 = kernel-assigned ephemeral port (tests; read back via port()).
-  uint16_t port = 0;
-  // Handler pool workers. 0 = hardware concurrency.
-  size_t handler_threads = 0;
-  // Admission cap: max connections admitted but not yet answered
-  // (queued + executing). Beyond it, connections get an immediate 503.
-  size_t max_inflight = 64;
-  // Deadline applied when the client sends no deadline_ms; client values
-  // are clamped to max_deadline_ms.
-  uint64_t default_deadline_ms = 2000;
-  uint64_t max_deadline_ms = 30000;
-  // k applied when the client sends no k (0 = all matching documents).
-  size_t default_top_k = 10;
-  size_t max_top_k = 10000;
-  // Per-connection socket send/receive timeout.
-  int io_timeout_ms = 5000;
-  // Seconds advertised in the Retry-After header of 503/504 responses.
-  unsigned retry_after_s = 1;
+struct ServiceOptions : HttpServiceOptions {
   // Reload source: when non-empty, /admin/reload (and SIGHUP in
   // graft_server) reloads the bundle from this file with the partitioning
   // below. Empty = reload unsupported (e.g. in-memory test engines).
@@ -120,13 +84,45 @@ struct ServiceOptions {
   uint64_t test_search_delay_ms = 0;
 };
 
-// A routed response before serialization.
-struct Response {
-  int status_code = 200;
-  std::string content_type = "application/json";
-  std::string body;
-  // Non-zero => a "Retry-After: <n>" header is attached (503/504).
-  unsigned retry_after_s = 0;
+// The search service's counters: the shared request outcomes plus reload,
+// slow-query, router-protocol and pruning counters.
+struct ServerStats : RequestOutcomes {
+  // Hot-reload outcomes (/admin/reload + SIGHUP); not part of the
+  // request-outcome identity.
+  std::atomic<uint64_t> reloads_ok{0};
+  std::atomic<uint64_t> reloads_failed{0};
+  // /search responses whose total latency crossed the configured
+  // slow-query threshold (0 while the slow-query log is disabled).
+  std::atomic<uint64_t> slow_queries{0};
+  // 409s answered to a router whose expect_gen no longer matches this
+  // server's engine generation (a reload landed between the router's stats
+  // collection and this search). Subset of client_errors — the outcome
+  // identity is untouched; this counter exists so a dashboard can tell
+  // "router racing reloads" apart from plain bad requests.
+  std::atomic<uint64_t> generation_conflicts{0};
+  // /shard/stats requests served (phase 1 of the router's two-phase
+  // stats exchange).
+  std::atomic<uint64_t> shard_stats_requests{0};
+  // Block-max top-k pruning on the search path: searches whose plan ran
+  // the pruned operator, and the cumulative posting blocks it skipped.
+  // Both stay 0 when the gate blocks pruning (scheme, query shape, v3
+  // index) — a dashboard on these shows whether pruning is earning rent.
+  std::atomic<uint64_t> pruned_searches{0};
+  std::atomic<uint64_t> topk_blocks_skipped{0};
+  // Rewrite-rule fire counts, slot-indexed by the declarative catalog
+  // (core/rewrite_rules.h registry order); exported as
+  // graft_rewrite_rule_fired_total{rule="<id>"}. Sized to match
+  // exec::ExecStats::kMaxRules (static_assert in the .cc).
+  static constexpr size_t kMaxRules = 16;
+  std::atomic<uint64_t> rule_fired[kMaxRules] = {};
+
+  // Full /stats JSON document.
+  std::string ToJson() const;
+
+  // Prometheus text exposition (version 0.0.4) of every counter above,
+  // graft_-prefixed. The /metrics handler appends its own gauges
+  // (in-flight, generation, uptime) after this.
+  std::string ToPrometheus() const;
 };
 
 class SearchService {
@@ -160,7 +156,7 @@ class SearchService {
   Status Reload();
 
   // Valid after Start(); the actual bound port.
-  uint16_t port() const { return listener_.port(); }
+  uint16_t port() const { return http_.port(); }
 
   const ServerStats& stats() const { return stats_; }
 
@@ -174,10 +170,10 @@ class SearchService {
   // serving).
   bool degraded() const { return degraded_.load(std::memory_order_acquire); }
 
-  // Routes one parsed request to a response. Pure apart from stats
-  // recording; exposed so tests can drive the handler without sockets.
-  // `queued_micros` is how long the request waited before handling;
-  // `deadline_micros_left` < 0 means the deadline already elapsed.
+  // Routes one parsed request to a response: the HttpService handler.
+  // Pure apart from stats recording; exposed so tests can drive it without
+  // sockets. `queued_micros` is how long the request waited before
+  // handling.
   Response Handle(const HttpRequest& request, uint64_t queued_micros);
 
   // The exact `"results":[...]` JSON fragment for a result list — scores
@@ -187,9 +183,6 @@ class SearchService {
       const std::vector<ma::ScoredDoc>& results);
 
  private:
-  void AcceptLoop();
-  void HandleConnection(int fd,
-                        std::chrono::steady_clock::time_point admitted);
   Response HandleSearch(const HttpRequest& request, uint64_t queued_micros);
   Response HandleShardStats(const HttpRequest& request);
   Response HandleStats() const;
@@ -226,28 +219,12 @@ class SearchService {
   std::atomic<uint64_t> generation_{1};
   std::atomic<bool> degraded_{false};
 
-  TcpListener listener_;
-  std::unique_ptr<common::ThreadPool> pool_;
-  std::thread accept_thread_;
-
-  std::atomic<bool> stopping_{false};
-  bool started_ = false;
-
-  // Admission/drain accounting.
-  std::atomic<size_t> inflight_{0};
-  std::mutex drain_mu_;
-  std::condition_variable drain_cv_;
-
   ServerStats stats_;
-  std::chrono::steady_clock::time_point started_at_;
+  HttpService http_{options_, &stats_,
+                    [this](const HttpRequest& request, uint64_t queued_micros) {
+                      return Handle(request, queued_micros);
+                    }};
 };
-
-// Maps a library Status to the HTTP code the service answers with:
-// InvalidArgument/OutOfRange -> 400, NotFound -> 404, everything else 500.
-int HttpCodeForStatus(const Status& status);
-
-// {"error":"<code name>","message":"..."} body for an error response.
-std::string ErrorBody(const Status& status);
 
 }  // namespace graft::server
 

@@ -3,17 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "core/rewrite_rules.h"
-#include "exec/operators.h"
 #include "sa/scoring_scheme.h"
 #include "server/http.h"
 
 namespace graft::server {
-
-// One server-side slot per exec-side slot: StampRuleCounters writes by
-// registry index, so the two arrays must stay width-matched.
-static_assert(ServerStats::kMaxRules == exec::ExecStats::kMaxRules,
-              "per-rule counter widths diverged");
 
 namespace {
 
@@ -145,197 +138,6 @@ std::string SchemeCounters::ToJson() const {
     out += std::to_string(n);
   }
   out += "}";
-  return out;
-}
-
-void ServerStats::RecordResponseCode(int status_code) {
-  if (status_code >= 200 && status_code < 300) {
-    responses_ok.fetch_add(1, std::memory_order_relaxed);
-  } else if (status_code >= 400 && status_code < 500) {
-    client_errors.fetch_add(1, std::memory_order_relaxed);
-  } else if (status_code == 503) {
-    rejected_overload.fetch_add(1, std::memory_order_relaxed);
-  } else if (status_code == 504) {
-    deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    server_errors.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-std::string ServerStats::ToJson() const {
-  std::string out = "{\"requests_total\":";
-  out += std::to_string(requests_total.load(std::memory_order_relaxed));
-  out += ",\"responses_ok\":";
-  out += std::to_string(responses_ok.load(std::memory_order_relaxed));
-  out += ",\"client_errors\":";
-  out += std::to_string(client_errors.load(std::memory_order_relaxed));
-  out += ",\"server_errors\":";
-  out += std::to_string(server_errors.load(std::memory_order_relaxed));
-  out += ",\"rejected_overload\":";
-  out += std::to_string(rejected_overload.load(std::memory_order_relaxed));
-  out += ",\"deadline_exceeded\":";
-  out += std::to_string(deadline_exceeded.load(std::memory_order_relaxed));
-  out += ",\"malformed_requests\":";
-  out += std::to_string(malformed_requests.load(std::memory_order_relaxed));
-  out += ",\"reloads_ok\":";
-  out += std::to_string(reloads_ok.load(std::memory_order_relaxed));
-  out += ",\"reloads_failed\":";
-  out += std::to_string(reloads_failed.load(std::memory_order_relaxed));
-  out += ",\"slow_queries\":";
-  out += std::to_string(slow_queries.load(std::memory_order_relaxed));
-  out += ",\"generation_conflicts\":";
-  out += std::to_string(generation_conflicts.load(std::memory_order_relaxed));
-  out += ",\"shard_stats_requests\":";
-  out += std::to_string(shard_stats_requests.load(std::memory_order_relaxed));
-  out += ",\"pruned_searches\":";
-  out += std::to_string(pruned_searches.load(std::memory_order_relaxed));
-  out += ",\"topk_blocks_skipped\":";
-  out += std::to_string(topk_blocks_skipped.load(std::memory_order_relaxed));
-  out += ",\"rule_fired\":{";
-  {
-    const auto& rules = core::RewriteRuleRegistry::Global().All();
-    bool first = true;
-    for (size_t i = 0; i < rules.size() && i < kMaxRules; ++i) {
-      const uint64_t n = rule_fired[i].load(std::memory_order_relaxed);
-      if (n == 0) continue;
-      if (!first) out += ",";
-      first = false;
-      out += "\"" + rules[i].id + "\":" + std::to_string(n);
-    }
-  }
-  out += "}";
-  out += ",\"search_latency\":";
-  out += search_latency.ToJson();
-  out += ",\"scheme_counts\":";
-  out += scheme_counts.ToJson();
-  out += "}";
-  return out;
-}
-
-namespace {
-
-void AppendMetric(std::string* out, const char* name, const char* help,
-                  const char* type, uint64_t value) {
-  *out += "# HELP ";
-  *out += name;
-  *out += " ";
-  *out += help;
-  *out += "\n# TYPE ";
-  *out += name;
-  *out += " ";
-  *out += type;
-  *out += "\n";
-  *out += name;
-  *out += " ";
-  *out += std::to_string(value);
-  *out += "\n";
-}
-
-void AppendDouble(std::string* out, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  *out += buf;
-}
-
-}  // namespace
-
-std::string ServerStats::ToPrometheus() const {
-  std::string out;
-  AppendMetric(&out, "graft_requests_total",
-               "HTTP connections accepted.", "counter",
-               requests_total.load(std::memory_order_relaxed));
-  AppendMetric(&out, "graft_responses_ok_total", "2xx responses.", "counter",
-               responses_ok.load(std::memory_order_relaxed));
-  AppendMetric(&out, "graft_client_errors_total", "4xx responses.", "counter",
-               client_errors.load(std::memory_order_relaxed));
-  AppendMetric(&out, "graft_server_errors_total",
-               "5xx responses other than 503/504.", "counter",
-               server_errors.load(std::memory_order_relaxed));
-  AppendMetric(&out, "graft_rejected_overload_total",
-               "503 admission rejections.", "counter",
-               rejected_overload.load(std::memory_order_relaxed));
-  AppendMetric(&out, "graft_deadline_exceeded_total", "504 responses.",
-               "counter",
-               deadline_exceeded.load(std::memory_order_relaxed));
-  AppendMetric(&out, "graft_malformed_requests_total",
-               "Unparsable HTTP requests.", "counter",
-               malformed_requests.load(std::memory_order_relaxed));
-  AppendMetric(&out, "graft_reloads_ok_total", "Successful hot reloads.",
-               "counter", reloads_ok.load(std::memory_order_relaxed));
-  AppendMetric(&out, "graft_reloads_failed_total", "Failed hot reloads.",
-               "counter", reloads_failed.load(std::memory_order_relaxed));
-  AppendMetric(&out, "graft_slow_queries_total",
-               "Searches over the slow-query threshold.", "counter",
-               slow_queries.load(std::memory_order_relaxed));
-  AppendMetric(&out, "graft_generation_conflicts_total",
-               "409s: router expect_gen stale after a reload.", "counter",
-               generation_conflicts.load(std::memory_order_relaxed));
-  AppendMetric(&out, "graft_shard_stats_requests_total",
-               "/shard/stats requests (router stats exchange phase 1).",
-               "counter",
-               shard_stats_requests.load(std::memory_order_relaxed));
-  AppendMetric(&out, "graft_pruned_searches_total",
-               "Searches served by the block-max pruned top-k operator.",
-               "counter", pruned_searches.load(std::memory_order_relaxed));
-  AppendMetric(&out, "graft_topk_blocks_skipped_total",
-               "Posting blocks skipped via block-max ceilings.", "counter",
-               topk_blocks_skipped.load(std::memory_order_relaxed));
-
-  {
-    const auto& rules = core::RewriteRuleRegistry::Global().All();
-    bool any = false;
-    for (size_t i = 0; i < rules.size() && i < kMaxRules; ++i) {
-      any = any || rule_fired[i].load(std::memory_order_relaxed) != 0;
-    }
-    if (any) {
-      out +=
-          "# HELP graft_rewrite_rule_fired_total Rewrite-rule applications "
-          "per catalog rule across served searches.\n"
-          "# TYPE graft_rewrite_rule_fired_total counter\n";
-      for (size_t i = 0; i < rules.size() && i < kMaxRules; ++i) {
-        const uint64_t n = rule_fired[i].load(std::memory_order_relaxed);
-        if (n == 0) continue;
-        // Rule ids are stable lowercase identifiers — no label escaping
-        // needed beyond quoting.
-        out += "graft_rewrite_rule_fired_total{rule=\"" + rules[i].id +
-               "\"} " + std::to_string(n) + "\n";
-      }
-    }
-  }
-
-  out +=
-      "# HELP graft_search_latency_microseconds /search latency "
-      "(queued + handled).\n"
-      "# TYPE graft_search_latency_microseconds summary\n";
-  const struct {
-    const char* label;
-    double q;
-  } quantiles[] = {{"0.5", 0.5}, {"0.95", 0.95}, {"0.99", 0.99}};
-  for (const auto& quantile : quantiles) {
-    out += "graft_search_latency_microseconds{quantile=\"";
-    out += quantile.label;
-    out += "\"} ";
-    AppendDouble(&out, search_latency.PercentileMicros(quantile.q));
-    out += "\n";
-  }
-  out += "graft_search_latency_microseconds_sum ";
-  out += std::to_string(search_latency.sum_micros());
-  out += "\ngraft_search_latency_microseconds_count ";
-  out += std::to_string(search_latency.count());
-  out += "\n";
-
-  const auto schemes = scheme_counts.NonZero();
-  if (!schemes.empty()) {
-    out +=
-        "# HELP graft_search_by_scheme_total /search requests per scoring "
-        "scheme.\n# TYPE graft_search_by_scheme_total counter\n";
-    for (const auto& [name, n] : schemes) {
-      // Scheme names are registry identifiers ([A-Za-z0-9_-]) — no label
-      // escaping needed beyond quoting.
-      out += "graft_search_by_scheme_total{scheme=\"" + name + "\"} " +
-             std::to_string(n) + "\n";
-    }
-  }
   return out;
 }
 

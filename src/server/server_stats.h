@@ -1,4 +1,5 @@
-// Cumulative request statistics for the search service.
+// Metric primitives for the HTTP services' cumulative request statistics
+// (server::RequestOutcomes in http_service.h).
 //
 // Everything on the hot path is a relaxed atomic: handlers on different
 // pool workers record concurrently with readers rendering /stats, and no
@@ -70,64 +71,6 @@ class SchemeCounters {
  private:
   std::vector<std::string> names_;
   std::vector<std::atomic<uint64_t>> counts_;
-};
-
-// The outcome counters are disjoint: responses_ok + client_errors +
-// server_errors + rejected_overload + deadline_exceeded == requests_total
-// (once all in-flight requests have drained).
-struct ServerStats {
-  std::atomic<uint64_t> requests_total{0};
-  std::atomic<uint64_t> responses_ok{0};          // 2xx
-  std::atomic<uint64_t> client_errors{0};         // 4xx
-  std::atomic<uint64_t> server_errors{0};         // 5xx except 503/504
-  std::atomic<uint64_t> rejected_overload{0};     // 503 (admission/shutdown)
-  std::atomic<uint64_t> deadline_exceeded{0};     // 504
-  std::atomic<uint64_t> malformed_requests{0};    // unparsable HTTP (also 4xx)
-  // Hot-reload outcomes (/admin/reload + SIGHUP); not part of the
-  // request-outcome identity above.
-  std::atomic<uint64_t> reloads_ok{0};
-  std::atomic<uint64_t> reloads_failed{0};
-  // /search responses whose total latency crossed the configured
-  // slow-query threshold (0 while the slow-query log is disabled).
-  std::atomic<uint64_t> slow_queries{0};
-  // 409s answered to a router whose expect_gen no longer matches this
-  // server's engine generation (a reload landed between the router's stats
-  // collection and this search). Subset of client_errors — the outcome
-  // identity above is untouched; this counter exists so a dashboard can
-  // tell "router racing reloads" apart from plain bad requests.
-  std::atomic<uint64_t> generation_conflicts{0};
-  // /shard/stats requests served (phase 1 of the router's two-phase
-  // stats exchange).
-  std::atomic<uint64_t> shard_stats_requests{0};
-  // Block-max top-k pruning on the search path: searches whose plan ran
-  // the pruned operator, and the cumulative posting blocks it skipped.
-  // Both stay 0 when the gate blocks pruning (scheme, query shape, v3
-  // index) — a dashboard on these shows whether pruning is earning rent.
-  std::atomic<uint64_t> pruned_searches{0};
-  std::atomic<uint64_t> topk_blocks_skipped{0};
-  // Rewrite-rule fire counts, slot-indexed by the declarative catalog
-  // (core/rewrite_rules.h registry order); exported as
-  // graft_rewrite_rule_fired_total{rule="<id>"}. Sized to match
-  // exec::ExecStats::kMaxRules (static_assert in the .cc).
-  static constexpr size_t kMaxRules = 16;
-  std::atomic<uint64_t> rule_fired[kMaxRules] = {};
-  LatencyHistogram search_latency;                // /search only, all codes
-  SchemeCounters scheme_counts;
-
-  // Classifies a response code into exactly one outcome counter:
-  // 2xx -> responses_ok, 4xx -> client_errors, 503 -> rejected_overload,
-  // 504 -> deadline_exceeded, other 5xx -> server_errors.
-  void RecordResponseCode(int status_code);
-
-  // Full /stats JSON document.
-  std::string ToJson() const;
-
-  // Prometheus text exposition (version 0.0.4) of every counter above:
-  // graft_-prefixed counters, a summary for search latency (quantile
-  // labels + _sum/_count), and one graft_search_by_scheme_total sample
-  // per scheme label. The /metrics handler appends its own gauges
-  // (in-flight, generation, uptime) after this.
-  std::string ToPrometheus() const;
 };
 
 }  // namespace graft::server

@@ -198,6 +198,16 @@ TEST(RouterServiceTest, RejectsMalformedRequests) {
   EXPECT_GE(stats.client_errors.load(), 6u);
 }
 
+TEST(RouterServiceTest, EarlyRejectedSearchesRecordLatency) {
+  Fixture& fixture = Shared();
+  for (const char* target : {"/search", "/search?q=x&k=abc"}) {
+    const uint64_t before = fixture.router->stats().search_latency.count();
+    EXPECT_EQ(Get(fixture.router->port(), target).status_code, 400) << target;
+    EXPECT_EQ(fixture.router->stats().search_latency.count(), before + 1)
+        << target;
+  }
+}
+
 TEST(RouterServiceTest, StatsEndpointReportsGatherCounters) {
   Fixture& fixture = Shared();
   // At least one successful search on record.
@@ -299,7 +309,7 @@ TEST(RouterServiceTest, ShardDeathDegradesOverHttp) {
   const auto cold = Get(router.port(),
                         SearchTarget("emulator windows foss", "MeanSum", 10));
   EXPECT_EQ(cold.status_code, 502) << cold.body;
-  EXPECT_GE(router.stats().bad_gateway.load(), 1u);
+  EXPECT_GE(router.stats().server_errors.load(), 1u);  // "bad_gateway"
   router.Shutdown();
 }
 

@@ -228,6 +228,21 @@ TEST(SearchServiceTest, MalformedRequestsAreClean4xx) {
   service.Shutdown();
 }
 
+TEST(SearchServiceTest, EarlyRejectedSearchesRecordLatency) {
+  // search_latency covers every /search response, whatever its code: the
+  // parameter checks that answer 400 before any engine work count too.
+  SearchService service(SharedBundle().engine.get(), LenientOptions());
+  ASSERT_TRUE(service.Start().ok());
+  for (const char* target : {"/search", "/search?q=x&k=abc"}) {
+    const uint64_t before = service.stats().search_latency.count();
+    auto response = HttpGet(service.port(), target);
+    ASSERT_TRUE(response.ok()) << target;
+    EXPECT_EQ(response->status_code, 400) << target;
+    EXPECT_EQ(service.stats().search_latency.count(), before + 1) << target;
+  }
+  service.Shutdown();
+}
+
 TEST(SearchServiceTest, SegmentsParamOneForcesMonolithic) {
   SearchService service(SharedBundle().engine.get(), LenientOptions());
   ASSERT_TRUE(service.Start().ok());

@@ -9,6 +9,8 @@
 #include <thread>
 #include <vector>
 
+#include "server/search_service.h"
+
 namespace graft::server {
 namespace {
 

@@ -5,14 +5,15 @@ Fails (exit 1) when the reference pages under docs/ fall behind the code:
 
   * every top-level subdirectory of src/ must be mentioned (as "src/<name>")
     in docs/architecture.md;
-  * every Prometheus metric name exported by src/server/server_stats.cc and
-    src/server/search_service.cc (any "graft_..." name inside a string
-    literal) must appear in docs/operations.md;
+  * every Prometheus metric name exported by src/server/search_service.cc
+    (any "graft_..." name inside a string literal), plus every shared
+    request-outcome series src/server/http_service.cc builds from the
+    service's OutcomeNames prefix, must appear in docs/operations.md;
   * every command-line flag graft_server parses (arg == "--flag" in
     tools/graft_server.cc) must appear in docs/operations.md;
   * likewise for the router: every "graft_..." metric name in
-    src/router/router_service.cc and every flag graft_router parses must
-    appear in docs/distributed.md;
+    src/router/router_service.cc, its prefixed outcome series, and every
+    flag graft_router parses must appear in docs/distributed.md;
   * docs/index-format.md (the normative on-disk spec) must agree with
     src/index/index_format.h: every kFmt* constant's value, every
     FmtV5Section enum entry at its index, both struct sizes asserted by
@@ -32,9 +33,12 @@ import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-METRIC_SOURCES = ("src/server/server_stats.cc", "src/server/search_service.cc")
+METRIC_SOURCES = ("src/server/search_service.cc",)
 FLAG_SOURCE = "tools/graft_server.cc"
 ROUTER_METRIC_SOURCES = ("src/router/router_service.cc",)
+# RequestOutcomes::ToPrometheus: series named <prefix><stem>, where each
+# service declares its prefix in `OutcomeNames kOutcomeNames{...}`.
+SHARED_METRIC_SOURCE = "src/server/http_service.cc"
 ROUTER_FLAG_SOURCE = "tools/graft_router.cc"
 LINKED_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
 
@@ -80,7 +84,39 @@ def exported_metrics(source_texts):
     names = set()
     for text in source_texts:
         for segment in quoted_segments(text):
-            names.update(re.findall(r"\bgraft_[a-z][a-z0-9_]*", segment))
+            # A bare prefix ("graft_router_") is not a metric name.
+            names.update(re.findall(r"\bgraft_[a-z][a-z0-9_]*[a-z0-9]", segment))
+    return sorted(names)
+
+
+def prefixed_metrics(shared_text, service_text):
+    """The shared outcome series one service exports: every stem in
+    http_service.cc (the kOutcomeCounters rows, where nullptr is the
+    service's other-5xx spelling, and each `prefix + "<stem>"`) under the
+    prefix the service's kOutcomeNames declares."""
+    names = re.search(r'OutcomeNames kOutcomeNames\{\s*"(\w+)",\s*"(\w+)"',
+                      service_text)
+    table = re.search(r"kOutcomeCounters\[\] = \{(.*?)\n\};", shared_text,
+                      re.DOTALL)
+    if not names or not table:
+        return []
+    prefix, other_5xx = names.groups()
+    stems = []
+    for key in re.findall(r'\{(nullptr|"\w+"),', table.group(1)):
+        stem = other_5xx if key == "nullptr" else key.strip('"')
+        stems.append(stem if stem.endswith("_total") else stem + "_total")
+    stems += re.findall(r'prefix \+ "(\w+)"', shared_text)
+    return sorted(prefix + stem for stem in stems)
+
+
+def service_metrics(sources):
+    """Every metric name one service exports: literals in its own sources
+    plus the shared outcome series under its prefix."""
+    texts = [read(p) for p in sources]
+    shared = read(SHARED_METRIC_SOURCE)
+    names = set(exported_metrics(texts))
+    for text in texts:
+        names.update(prefixed_metrics(shared, text))
     return sorted(names)
 
 
@@ -212,12 +248,10 @@ def run_checks():
     dist = read("docs/distributed.md")
     errors = []
     errors += check_architecture(arch, src_subdirs())
-    errors += check_metrics(ops, exported_metrics(read(p) for p in METRIC_SOURCES))
+    errors += check_metrics(ops, service_metrics(METRIC_SOURCES))
     errors += check_flags(ops, server_flags(read(FLAG_SOURCE)))
     errors += check_metrics(
-        dist,
-        exported_metrics(read(p) for p in ROUTER_METRIC_SOURCES),
-        page="docs/distributed.md",
+        dist, service_metrics(ROUTER_METRIC_SOURCES), page="docs/distributed.md"
     )
     errors += check_flags(
         dist,
@@ -243,12 +277,16 @@ def self_test():
         failures.append("architecture check fails on the real docs")
 
     ops = read("docs/operations.md")
-    mutated = ops.replace("graft_requests_total", "graft_requests_renamed")
-    metrics = exported_metrics(read(p) for p in METRIC_SOURCES)
-    if "graft_requests_total" not in metrics:
-        failures.append("metric extraction lost graft_requests_total")
-    if not check_metrics(mutated, metrics):
-        failures.append("metrics check missed a removed metric row")
+    metrics = service_metrics(METRIC_SOURCES)
+    for name in ("graft_requests_total", "graft_server_errors_total",
+                 "graft_search_latency_seconds", "graft_slow_queries_total"):
+        if name not in metrics:
+            failures.append(f"metric extraction lost {name}")
+    # A service-specific row and a shared outcome-counter row.
+    for name in ("graft_slow_queries_total", "graft_rejected_overload_total"):
+        mutated = ops.replace(name, name.replace("_total", "_renamed"))
+        if not check_metrics(mutated, metrics):
+            failures.append(f"metrics check missed a removed {name} row")
     if check_metrics(ops, metrics):
         failures.append("metrics check fails on the real docs")
 
@@ -262,14 +300,16 @@ def self_test():
         failures.append("flags check fails on the real docs")
 
     dist = read("docs/distributed.md")
-    router_metrics = exported_metrics(read(p) for p in ROUTER_METRIC_SOURCES)
-    if "graft_router_gathers_total" not in router_metrics:
-        failures.append("metric extraction lost graft_router_gathers_total")
-    mutated = dist.replace(
-        "graft_router_gathers_total", "graft_router_gathers_renamed"
-    )
-    if not check_metrics(mutated, router_metrics, page="docs/distributed.md"):
-        failures.append("router metrics check missed a removed metric row")
+    router_metrics = service_metrics(ROUTER_METRIC_SOURCES)
+    for name in ("graft_router_gathers_total", "graft_router_bad_gateway_total",
+                 "graft_router_search_latency_seconds"):
+        if name not in router_metrics:
+            failures.append(f"metric extraction lost {name}")
+    for name in ("graft_router_gathers_total",
+                 "graft_router_rejected_overload_total"):
+        mutated = dist.replace(name, name.replace("_total", "_renamed"))
+        if not check_metrics(mutated, router_metrics, page="docs/distributed.md"):
+            failures.append(f"router metrics check missed a removed {name} row")
     if check_metrics(dist, router_metrics, page="docs/distributed.md"):
         failures.append("router metrics check fails on the real docs")
 
