@@ -3,13 +3,16 @@
 // Starts a SearchService in-process on an ephemeral port, then sweeps the
 // number of closed-loop client threads (each thread issues a request,
 // waits for the full response, and immediately issues the next one) over a
-// fixed wall-clock window per configuration. The request mix rotates
-// through the paper's evaluation queries (Section 8) and all eight
-// registered scoring schemes, top-k = 10.
+// fixed wall-clock window per configuration, in two arms:
+//   * close — every request on a fresh connection (Connection: close);
+//   * keep_alive — each client keeps one persistent connection.
+// The request mix rotates through the paper's evaluation queries
+// (Section 8) and all eight registered scoring schemes, top-k = 10.
 //
 // Reported per configuration: client-observed QPS and p50/p95/p99/max
-// latency (measured connect-to-last-byte, which includes queueing in the
-// service's admission window), plus server-side counters so overload
+// latency (measured request-to-last-byte, plus the connect in the close
+// arm, which includes queueing in the service's admission window), the
+// connections the server accepted, plus server-side counters so overload
 // rejections (503) and deadline misses (504) are visible rather than
 // silently folded into averages.
 //
@@ -26,6 +29,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,6 +42,7 @@
 
 namespace {
 
+using graft::server::HttpConnection;
 using graft::server::HttpGet;
 using graft::server::UrlEncode;
 
@@ -46,6 +51,7 @@ constexpr const char* kSchemes[] = {
     "JoinNormalized", "MeanSum", "EventModel", "BestSumMinDist"};
 
 struct ConfigResult {
+  const char* arm;          // "close" or "keep_alive"
   size_t clients;
   size_t requests;
   size_t errors;            // transport failures or non-200 responses
@@ -57,7 +63,23 @@ struct ConfigResult {
   uint64_t server_ok;
   uint64_t server_rejected;  // 503 admission rejections
   uint64_t server_deadline;  // 504 deadline misses
+  uint64_t connections;      // connections the server accepted
 };
+
+// One closed-loop client's next request: on a fresh connection
+// (`connection` stays null), or on its persistent one, reopened after the
+// server closed it.
+graft::StatusOr<graft::server::HttpClientResponse> Request(
+    uint16_t port, const std::string& target,
+    std::unique_ptr<HttpConnection>* connection, bool keep_alive) {
+  if (!keep_alive) return HttpGet(port, target);
+  if (*connection == nullptr || !(*connection)->reusable()) {
+    auto opened = HttpConnection::Open(port, 10000);
+    if (!opened.ok()) return opened.status();
+    *connection = std::move(*opened);
+  }
+  return (*connection)->Get(target, /*keep_alive=*/true);
+}
 
 double Percentile(std::vector<double>& sorted_ms, double p) {
   if (sorted_ms.empty()) return 0.0;
@@ -115,22 +137,27 @@ int main() {
     }
   }
 
-  std::vector<size_t> client_counts;
-  for (size_t c = 1; c <= max_clients; c *= 2) client_counts.push_back(c);
+  // Both arms sweep the same client counts.
+  std::vector<std::pair<bool, size_t>> configs;  // (keep_alive, clients)
+  for (const bool keep_alive : {false, true}) {
+    for (size_t c = 1; c <= max_clients; c *= 2) {
+      configs.emplace_back(keep_alive, c);
+    }
+  }
 
   std::printf("Server load sweep (%llu docs, %zu segments, %zu targets, "
               "%.0fs window)\n",
               static_cast<unsigned long long>(index.doc_count()), kSegments,
               targets.size(), window_s);
-  std::printf("%8s | %9s %10s %9s %9s %9s | %6s %6s\n", "clients",
-              "requests", "QPS", "p50(ms)", "p95(ms)", "p99(ms)", "errs",
-              "503s");
+  std::printf("%10s %8s | %9s %10s %9s %9s %9s | %6s %6s %8s\n", "arm",
+              "clients", "requests", "QPS", "p50(ms)", "p95(ms)", "p99(ms)",
+              "errs", "503s", "conns");
   std::printf(
       "----------------------------------------------------------------------"
-      "--\n");
+      "-------------------------\n");
 
   std::vector<ConfigResult> results;
-  for (const size_t clients : client_counts) {
+  for (const auto& [keep_alive, clients] : configs) {
     // Warm-up: one pass over the mix so first-touch costs stay out of the
     // measured window.
     for (const std::string& target : targets) {
@@ -146,6 +173,8 @@ int main() {
         service.stats().rejected_overload.load();
     const uint64_t deadline_before =
         service.stats().deadline_exceeded.load();
+    const uint64_t connections_before =
+        service.stats().connections_accepted.load();
 
     std::atomic<bool> stop{false};
     std::atomic<size_t> errors{0};
@@ -155,10 +184,11 @@ int main() {
     for (size_t c = 0; c < clients; ++c) {
       threads.emplace_back([&, c] {
         size_t i = c * 13;  // de-phase the clients across the mix
+        std::unique_ptr<HttpConnection> connection;
         while (!stop.load(std::memory_order_relaxed)) {
           const std::string& target = targets[i++ % targets.size()];
           const auto start = std::chrono::steady_clock::now();
-          auto r = HttpGet(service.port(), target);
+          auto r = Request(service.port(), target, &connection, keep_alive);
           const auto end = std::chrono::steady_clock::now();
           if (!r.ok() || r->status_code != 200) {
             errors.fetch_add(1, std::memory_order_relaxed);
@@ -184,6 +214,7 @@ int main() {
     std::sort(latencies_ms.begin(), latencies_ms.end());
 
     ConfigResult result;
+    result.arm = keep_alive ? "keep_alive" : "close";
     result.clients = clients;
     result.requests = latencies_ms.size();
     result.errors = errors.load();
@@ -199,11 +230,14 @@ int main() {
         service.stats().rejected_overload.load() - rejected_before;
     result.server_deadline =
         service.stats().deadline_exceeded.load() - deadline_before;
+    result.connections =
+        service.stats().connections_accepted.load() - connections_before;
     results.push_back(result);
-    std::printf("%8zu | %9zu %10.1f %9.3f %9.3f %9.3f | %6zu %6llu\n",
-                result.clients, result.requests, result.qps, result.p50_ms,
-                result.p95_ms, result.p99_ms, result.errors,
-                static_cast<unsigned long long>(result.server_rejected));
+    std::printf("%10s %8zu | %9zu %10.1f %9.3f %9.3f %9.3f | %6zu %6llu %8llu\n",
+                result.arm, result.clients, result.requests, result.qps,
+                result.p50_ms, result.p95_ms, result.p99_ms, result.errors,
+                static_cast<unsigned long long>(result.server_rejected),
+                static_cast<unsigned long long>(result.connections));
   }
 
   service.Shutdown();
@@ -227,14 +261,16 @@ int main() {
     const ConfigResult& r = results[i];
     std::fprintf(
         out,
-        "    {\"clients\": %zu, \"requests\": %zu, \"qps\": %.2f, "
-        "\"p50_ms\": %.4f, \"p95_ms\": %.4f, \"p99_ms\": %.4f, "
-        "\"max_ms\": %.4f, \"errors\": %zu, \"server_ok\": %llu, "
-        "\"server_rejected_503\": %llu, \"server_deadline_504\": %llu}%s\n",
-        r.clients, r.requests, r.qps, r.p50_ms, r.p95_ms, r.p99_ms, r.max_ms,
-        r.errors, static_cast<unsigned long long>(r.server_ok),
+        "    {\"arm\": \"%s\", \"clients\": %zu, \"requests\": %zu, "
+        "\"qps\": %.2f, \"p50_ms\": %.4f, \"p95_ms\": %.4f, "
+        "\"p99_ms\": %.4f, \"max_ms\": %.4f, \"errors\": %zu, "
+        "\"server_ok\": %llu, \"server_rejected_503\": %llu, "
+        "\"server_deadline_504\": %llu, \"connections\": %llu}%s\n",
+        r.arm, r.clients, r.requests, r.qps, r.p50_ms, r.p95_ms, r.p99_ms,
+        r.max_ms, r.errors, static_cast<unsigned long long>(r.server_ok),
         static_cast<unsigned long long>(r.server_rejected),
         static_cast<unsigned long long>(r.server_deadline),
+        static_cast<unsigned long long>(r.connections),
         i + 1 < results.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");

@@ -278,6 +278,7 @@ Response RouterService::HandleStats() const {
     body += ",\"ejections\":" + load(counters.ejections);
     body += ",\"readmissions\":" + load(counters.readmissions);
     body += ",\"probes\":" + load(counters.probes);
+    body += ",\"connections_opened\":" + load(counters.connections_opened);
     body += "}";
   }
   body += "],\"uptime_s\":" + std::to_string(http_.uptime_s()) + "}";
@@ -343,6 +344,13 @@ Response RouterService::HandleMetrics() const {
        "counter",
        [](const ShardClient& shard) -> uint64_t {
          return shard.counters().ejections.load(std::memory_order_relaxed);
+       }},
+      {"graft_router_shard_connections_opened_total",
+       "TCP connections opened per shard (pooled ones are reused).",
+       "counter",
+       [](const ShardClient& shard) -> uint64_t {
+         return shard.counters().connections_opened.load(
+             std::memory_order_relaxed);
        }},
       {"graft_router_shard_readmissions_total",
        "Probe-driven replica readmissions per shard.", "counter",

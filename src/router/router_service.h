@@ -68,7 +68,7 @@ class RouterService {
   RouterService(const RouterService&) = delete;
   RouterService& operator=(const RouterService&) = delete;
 
-  // Binds the listener, starts the accept thread + handler pool + the
+  // Binds the listener, starts the poller thread + handler pool + the
   // replica readmission probe thread.
   Status Start();
 

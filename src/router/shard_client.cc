@@ -18,10 +18,21 @@ GRAFT_DEFINE_FAILPOINT(g_fp_slow_reply, "router.client.slow_reply");
 GRAFT_DEFINE_FAILPOINT(g_fp_garbled_body, "router.client.garbled_body");
 GRAFT_DEFINE_FAILPOINT(g_fp_cut_body, "router.client.cut_body");
 
+// Idle connections kept per replica; more than this many concurrent
+// requests to one replica open connections that are closed after use.
+constexpr size_t kMaxIdlePerReplica = 64;
+
 uint64_t ElapsedMs(Clock::time_point t0) {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() - t0)
           .count());
+}
+
+// The socket timeout for `budget_ms` left: at least 1 ms, at most the
+// per-attempt cap.
+int TimeoutMs(uint64_t budget_ms, int io_timeout_ms) {
+  return static_cast<int>(std::min<uint64_t>(
+      budget_ms == 0 ? 1 : budget_ms, static_cast<uint64_t>(io_timeout_ms)));
 }
 
 // A failed attempt is a transport error or a reply that says "the path
@@ -117,11 +128,8 @@ StatusOr<server::HttpClientResponse> ShardClient::GetOnce(
   }
 #endif
 
-  const int timeout_ms = static_cast<int>(std::min<uint64_t>(
-      budget_ms == 0 ? 1 : budget_ms,
-      static_cast<uint64_t>(options_.io_timeout_ms)));
   StatusOr<server::HttpClientResponse> response =
-      server::HttpGet(replica->port, target, timeout_ms);
+      Exchange(replica, target, budget_ms);
   if (!response.ok()) {
     RecordFailure(replica);
     return response;
@@ -143,6 +151,49 @@ StatusOr<server::HttpClientResponse> ShardClient::GetOnce(
     RecordFailure(replica);
   } else {
     RecordSuccess(replica);
+  }
+  return response;
+}
+
+StatusOr<server::HttpClientResponse> ShardClient::Exchange(
+    ReplicaState* replica, const std::string& target, uint64_t budget_ms) {
+  const Clock::time_point start = Clock::now();
+  std::unique_ptr<server::HttpConnection> connection;
+  {
+    std::lock_guard<std::mutex> lock(replica->idle_mu);
+    if (!replica->idle.empty()) {
+      connection = std::move(replica->idle.back());
+      replica->idle.pop_back();
+    }
+  }
+  StatusOr<server::HttpClientResponse> response =
+      Status::IOError("connection timeout not set");
+  if (connection != nullptr) {
+    bool peer_closed = true;
+    if (connection->SetTimeout(TimeoutMs(budget_ms, options_.io_timeout_ms))
+            .ok()) {
+      response = connection->Get(target, /*keep_alive=*/true, &peer_closed);
+    }
+    if (!response.ok()) {
+      if (!peer_closed) return response;
+      connection.reset();  // closed by the shard while idle: reconnect once
+    }
+  }
+  if (connection == nullptr) {
+    const uint64_t left = budget_ms - std::min(budget_ms, ElapsedMs(start));
+    StatusOr<std::unique_ptr<server::HttpConnection>> opened =
+        server::HttpConnection::Open(replica->port,
+                                     TimeoutMs(left, options_.io_timeout_ms));
+    if (!opened.ok()) return opened.status();
+    counters_.connections_opened.fetch_add(1, std::memory_order_relaxed);
+    connection = std::move(*opened);
+    response = connection->Get(target, /*keep_alive=*/true);
+  }
+  if (response.ok() && connection->reusable()) {
+    std::lock_guard<std::mutex> lock(replica->idle_mu);
+    if (replica->idle.size() < kMaxIdlePerReplica) {
+      replica->idle.push_back(std::move(connection));
+    }
   }
   return response;
 }

@@ -17,7 +17,15 @@
 //   * an HTTP 5xx/503/504 reply and a transport error both count as
 //     attempt failures; 2xx and 4xx (including 409) are returned to the
 //     caller — a 4xx is the shard speaking, not the path failing, and
-//     retrying it would duplicate a deterministic answer.
+//     retrying it would duplicate a deterministic answer;
+//   * connections are pooled: each replica keeps a small stack of idle
+//     keep-alive connections, and an attempt takes the most recently used
+//     one (or opens a fresh one), with its socket timeout set from the
+//     attempt's budget. A pooled connection the shard closed while it sat
+//     idle (idle timeout, restart) fails before any reply byte arrives;
+//     the attempt then retries once on a fresh connection, and that
+//     retry is not an attempt failure, so a shard restart does not eject
+//     a healthy replica.
 //
 // Failpoints (compiled under GRAFT_FAILPOINTS_ENABLED) let the chaos tests
 // strike each distinct wire failure mode:
@@ -32,7 +40,8 @@
 //                               half only), as if the peer died mid-send
 //
 // Thread-safe: concurrent Get() calls (fan-out + hedges) share the health
-// state through atomics; no locks on the request path.
+// state through atomics; the only lock on the request path guards a
+// replica's idle-connection stack for a push or a pop.
 
 #ifndef GRAFT_ROUTER_SHARD_CLIENT_H_
 #define GRAFT_ROUTER_SHARD_CLIENT_H_
@@ -40,6 +49,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -72,6 +82,7 @@ struct ShardClientCounters {
   std::atomic<uint64_t> ejections{0};
   std::atomic<uint64_t> readmissions{0};
   std::atomic<uint64_t> probes{0};        // health probes sent
+  std::atomic<uint64_t> connections_opened{0};  // TCP connects that succeeded
 };
 
 class ShardClient {
@@ -122,6 +133,8 @@ class ShardClient {
     uint16_t port = 0;
     std::atomic<uint32_t> consecutive_failures{0};
     std::atomic<bool> ejected{false};
+    std::mutex idle_mu;
+    std::vector<std::unique_ptr<server::HttpConnection>> idle;  // LIFO
   };
 
   // Picks the next non-ejected replica (round-robin); falls back to any
@@ -131,6 +144,13 @@ class ShardClient {
 
   void RecordSuccess(ReplicaState* replica);
   void RecordFailure(ReplicaState* replica);
+
+  // One request on a pooled connection to `replica`, or on a fresh one
+  // when none is idle or the pooled one turns out closed by the shard.
+  // Returns the connection to the pool when it can carry another request.
+  StatusOr<server::HttpClientResponse> Exchange(ReplicaState* replica,
+                                                const std::string& target,
+                                                uint64_t budget_ms);
 
   // Deterministic per-client jitter stream (xorshift); thread-safe via CAS.
   uint64_t NextJitter(uint64_t range);

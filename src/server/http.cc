@@ -41,6 +41,69 @@ std::string_view StripCr(std::string_view line) {
   return line;
 }
 
+// Strips leading and trailing spaces and tabs.
+std::string_view TrimBlanks(std::string_view text) {
+  while (!text.empty() && (text.front() == ' ' || text.front() == '\t')) {
+    text.remove_prefix(1);
+  }
+  while (!text.empty() && (text.back() == ' ' || text.back() == '\t')) {
+    text.remove_suffix(1);
+  }
+  return text;
+}
+
+// Whether a comma-separated header value ("Keep-Alive, Upgrade") holds
+// `token` (lower-case), ignoring case and surrounding blanks.
+bool HasToken(std::string_view value, std::string_view token) {
+  while (!value.empty()) {
+    const size_t comma = value.find(',');
+    if (ToLower(TrimBlanks(value.substr(0, comma))) == token) return true;
+    value = comma == std::string_view::npos ? std::string_view()
+                                            : value.substr(comma + 1);
+  }
+  return false;
+}
+
+// The keep-alive rule for a message of HTTP/1.1 (`http11`) or HTTP/1.0
+// with Connection header value `connection` ("" when absent).
+bool KeepsAlive(bool http11, std::string_view connection) {
+  if (HasToken(connection, "close")) return false;
+  return http11 || HasToken(connection, "keep-alive");
+}
+
+// The end of an HTTP head (one past its blank line), or npos.
+size_t HeadEnd(std::string_view data) {
+  size_t end = data.find("\r\n\r\n");
+  if (end != std::string_view::npos) end += 4;
+  const size_t lf = data.find("\n\n");
+  if (lf != std::string_view::npos && (end == std::string_view::npos ||
+                                       lf + 2 < end)) {
+    end = lf + 2;
+  }
+  return end;
+}
+
+// SendAll's loop: 0 once every byte is written, else the failed send's
+// errno.
+int SendAllOrErrno(int fd, std::string_view data) {
+  size_t written = 0;
+  while (written < data.size()) {
+    const ssize_t n =
+        ::send(fd, data.data() + written, data.size() - written, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return errno;
+    }
+    written += static_cast<size_t>(n);
+  }
+  return 0;
+}
+
+void SetNoDelay(int fd) {
+  const int one = 1;
+  (void)setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 Status SetSocketTimeouts(int fd, int timeout_ms) {
   timeval tv;
   tv.tv_sec = timeout_ms / 1000;
@@ -71,16 +134,9 @@ void IgnoreSigpipeOnce() {
 }
 
 Status SendAll(int fd, std::string_view data) {
-  size_t written = 0;
-  while (written < data.size()) {
-    const ssize_t n =
-        ::send(fd, data.data() + written, data.size() - written, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError("send failed: " +
-                             std::string(std::strerror(errno)));
-    }
-    written += static_cast<size_t>(n);
+  const int error = SendAllOrErrno(fd, data);
+  if (error != 0) {
+    return Status::IOError("send failed: " + std::string(std::strerror(error)));
   }
   return Status::Ok();
 }
@@ -139,6 +195,7 @@ StatusOr<HttpRequest> ParseRequestHead(std::string_view head) {
   if (target[0] != '/') {
     return Status::InvalidArgument("request target must be origin-form");
   }
+  request.version = std::string(version);
 
   // Split target into path and query string.
   const size_t question = target.find('?');
@@ -179,16 +236,17 @@ StatusOr<HttpRequest> ParseRequestHead(std::string_view head) {
     if (colon == std::string_view::npos || colon == 0) {
       return Status::InvalidArgument("malformed header line");
     }
-    std::string_view value = line.substr(colon + 1);
-    while (!value.empty() && (value.front() == ' ' || value.front() == '\t')) {
-      value.remove_prefix(1);
-    }
-    while (!value.empty() && (value.back() == ' ' || value.back() == '\t')) {
-      value.remove_suffix(1);
-    }
-    request.headers[ToLower(line.substr(0, colon))] = std::string(value);
+    request.headers[ToLower(line.substr(0, colon))] =
+        std::string(TrimBlanks(line.substr(colon + 1)));
   }
   return request;
+}
+
+bool WantsKeepAlive(const HttpRequest& request) {
+  const auto connection = request.headers.find("connection");
+  return KeepsAlive(request.version == "HTTP/1.1",
+                    connection == request.headers.end() ? std::string_view()
+                                                        : connection->second);
 }
 
 std::string_view StatusReason(int status_code) {
@@ -210,7 +268,8 @@ std::string_view StatusReason(int status_code) {
 
 std::string SerializeResponse(int status_code, std::string_view content_type,
                               std::string_view body,
-                              std::string_view extra_headers) {
+                              std::string_view extra_headers,
+                              bool keep_alive) {
   std::string out;
   out.reserve(body.size() + 128 + extra_headers.size());
   out += "HTTP/1.1 ";
@@ -221,7 +280,8 @@ std::string SerializeResponse(int status_code, std::string_view content_type,
   out += content_type;
   out += "\r\nContent-Length: ";
   out += std::to_string(body.size());
-  out += "\r\nConnection: close\r\n";
+  out += keep_alive ? "\r\nConnection: keep-alive\r\n"
+                    : "\r\nConnection: close\r\n";
   out += extra_headers;  // each entry CRLF-terminated by the caller
   out += "\r\n";
   out += body;
@@ -253,9 +313,9 @@ void JsonAppendEscaped(std::string* out, std::string_view text) {
 
 TcpListener::~TcpListener() { Close(); }
 
-Status TcpListener::Bind(uint16_t port, int backlog) {
+Status TcpListener::Bind(uint16_t port, int backlog, bool nonblocking) {
   IgnoreSigpipeOnce();
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  fd_ = ::socket(AF_INET, SOCK_STREAM | (nonblocking ? SOCK_NONBLOCK : 0), 0);
   if (fd_ < 0) {
     return Status::IOError("socket failed: " +
                            std::string(std::strerror(errno)));
@@ -303,6 +363,9 @@ StatusOr<int> TcpListener::Accept(int io_timeout_ms) const {
     const int fd = ::accept(fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        return Status::NotFound("no pending connection");
+      }
       return Status::IOError("accept failed: " +
                              std::string(std::strerror(errno)));
     }
@@ -311,6 +374,7 @@ StatusOr<int> TcpListener::Accept(int io_timeout_ms) const {
       ::close(fd);
       return timeouts;
     }
+    SetNoDelay(fd);
     return fd;
   }
 }
@@ -332,12 +396,15 @@ void TcpListener::Close() {
   }
 }
 
-StatusOr<HttpRequest> ReadRequest(int fd) {
+StatusOr<HttpRequest> ReadRequest(int fd, ReadRequestInfo* info) {
+  ReadRequestInfo ignored;
+  if (info == nullptr) info = &ignored;
+  *info = ReadRequestInfo();
   std::string head;
   head.reserve(512);
   char buf[2048];
-  while (head.find("\r\n\r\n") == std::string::npos &&
-         head.find("\n\n") == std::string::npos) {
+  size_t head_end;
+  while ((head_end = HeadEnd(head)) == std::string::npos) {
     if (head.size() > kMaxRequestHeadBytes) {
       return Status::InvalidArgument("request head too large");
     }
@@ -347,30 +414,36 @@ StatusOr<HttpRequest> ReadRequest(int fd) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         return Status::IOError("timed out reading request");
       }
+      // A reset (an abortive close) before any byte is a hang-up too.
+      info->closed_before_request = head.empty() && errno == ECONNRESET;
       return Status::IOError("recv failed: " +
                              std::string(std::strerror(errno)));
     }
     if (n == 0) {
       if (head.empty()) {
+        info->closed_before_request = true;
         return Status::IOError("connection closed before request");
       }
       return Status::InvalidArgument("connection closed mid-request");
     }
     head.append(buf, static_cast<size_t>(n));
   }
+  info->bytes_past_head = head.size() > head_end;
   GRAFT_ASSIGN_OR_RETURN(HttpRequest request, ParseRequestHead(head));
   const auto content_length = request.headers.find("content-length");
-  if (content_length != request.headers.end() &&
-      content_length->second != "0") {
+  if ((content_length != request.headers.end() &&
+       content_length->second != "0") ||
+      request.headers.count("transfer-encoding") != 0) {
     return Status::InvalidArgument("request bodies are not supported");
   }
   return request;
 }
 
 Status WriteResponse(int fd, int status_code, std::string_view content_type,
-                     std::string_view body, std::string_view extra_headers) {
-  return SendAll(
-      fd, SerializeResponse(status_code, content_type, body, extra_headers));
+                     std::string_view body, std::string_view extra_headers,
+                     bool keep_alive) {
+  return SendAll(fd, SerializeResponse(status_code, content_type, body,
+                                       extra_headers, keep_alive));
 }
 
 std::string UrlEncode(std::string_view text) {
@@ -393,20 +466,17 @@ std::string UrlEncode(std::string_view text) {
   return out;
 }
 
-StatusOr<HttpClientResponse> HttpGet(uint16_t port, std::string_view target,
-                                     int timeout_ms) {
+StatusOr<std::unique_ptr<HttpConnection>> HttpConnection::Open(
+    uint16_t port, int timeout_ms) {
   IgnoreSigpipeOnce();
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     return Status::IOError("socket failed: " +
                            std::string(std::strerror(errno)));
   }
-  struct FdCloser {
-    int fd;
-    ~FdCloser() { ::close(fd); }
-  } closer{fd};
-
+  std::unique_ptr<HttpConnection> connection(new HttpConnection(fd));
   GRAFT_RETURN_IF_ERROR(SetSocketTimeouts(fd, timeout_ms));
+  SetNoDelay(fd);
   sockaddr_in addr;
   std::memset(&addr, 0, sizeof(addr));
   addr.sin_family = AF_INET;
@@ -416,50 +486,86 @@ StatusOr<HttpClientResponse> HttpGet(uint16_t port, std::string_view target,
     return Status::IOError("connect failed: " +
                            std::string(std::strerror(errno)));
   }
+  return connection;
+}
+
+HttpConnection::~HttpConnection() { ::close(fd_); }
+
+Status HttpConnection::SetTimeout(int timeout_ms) {
+  return SetSocketTimeouts(fd_, timeout_ms);
+}
+
+StatusOr<HttpClientResponse> HttpConnection::Get(std::string_view target,
+                                                 bool keep_alive,
+                                                 bool* peer_closed) {
+  bool closed_unused = false;
+  if (peer_closed == nullptr) peer_closed = &closed_unused;
+  *peer_closed = false;
+  reusable_ = false;  // until this exchange completes cleanly
 
   std::string request = "GET ";
   request += target;
-  request += " HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n\r\n";
-  GRAFT_RETURN_IF_ERROR(SendAll(fd, request));
-
-  std::string raw;
-  char buf[4096];
-  while (true) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return Status::IOError("timed out reading response");
-      }
-      return Status::IOError("recv failed: " +
-                             std::string(std::strerror(errno)));
-    }
-    if (n == 0) break;
-    raw.append(buf, static_cast<size_t>(n));
-    if (raw.size() > (64u << 20)) {
-      return Status::OutOfRange("response too large");
-    }
+  request += " HTTP/1.1\r\nHost: 127.0.0.1\r\n";
+  if (!keep_alive) request += "Connection: close\r\n";
+  request += "\r\n";
+  const int send_error = SendAllOrErrno(fd_, request);
+  if (send_error != 0) {
+    *peer_closed = send_error == EPIPE || send_error == ECONNRESET;
+    return Status::IOError("send failed: " +
+                           std::string(std::strerror(send_error)));
   }
 
+  constexpr size_t kMaxResponseBytes = 64u << 20;
+  std::string raw;
+  char buf[16384];
+  // Appends one read to `raw`: 1 on data, 0 at end of stream, -1 with
+  // `*error` set otherwise.
+  const auto read_some = [&](Status* error) -> int {
+    while (true) {
+      const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+      if (n > 0) {
+        raw.append(buf, static_cast<size_t>(n));
+        return 1;
+      }
+      if (n == 0) return 0;
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        *error = Status::IOError("timed out reading response");
+      } else {
+        *peer_closed = raw.empty() && errno == ECONNRESET;
+        *error = Status::IOError("recv failed: " +
+                                 std::string(std::strerror(errno)));
+      }
+      return -1;
+    }
+  };
+
   // "HTTP/1.1 200 OK\r\n...\r\n\r\n<body>"
+  Status error;
+  size_t body_start;
+  while ((body_start = HeadEnd(raw)) == std::string::npos) {
+    if (raw.size() > kMaxRequestHeadBytes * 4) {
+      return Status::DataLoss("HTTP response head too large");
+    }
+    const int got = read_some(&error);
+    if (got < 0) return error;
+    if (got == 0) {
+      if (raw.empty()) {
+        *peer_closed = true;
+        return Status::IOError("connection closed before response");
+      }
+      return Status::DataLoss("HTTP response missing header terminator");
+    }
+  }
   if (raw.size() < 12 || raw.compare(0, 5, "HTTP/") != 0) {
     return Status::DataLoss("malformed HTTP response");
   }
   HttpClientResponse response;
   const size_t sp = raw.find(' ');
-  if (sp == std::string::npos || sp + 4 > raw.size()) {
+  if (sp == std::string::npos || sp + 4 > body_start) {
     return Status::DataLoss("malformed HTTP status line");
   }
   response.status_code = std::atoi(raw.c_str() + sp + 1);
-  size_t body_start = raw.find("\r\n\r\n");
-  size_t skip = 4;
-  if (body_start == std::string::npos) {
-    body_start = raw.find("\n\n");
-    skip = 2;
-  }
-  if (body_start == std::string::npos) {
-    return Status::DataLoss("HTTP response missing header terminator");
-  }
   // Capture response headers (lower-cased names) so clients and tests can
   // assert on them, e.g. Retry-After on 503/504.
   const std::string_view head(raw.data(), body_start);
@@ -478,8 +584,51 @@ StatusOr<HttpClientResponse> HttpGet(uint16_t port, std::string_view target,
     }
     line_start = line_end_raw;
   }
-  response.body = raw.substr(body_start + skip);
+
+  const auto connection = response.headers.find("connection");
+  const bool server_keeps = KeepsAlive(
+      raw.compare(0, 8, "HTTP/1.1") == 0,
+      connection == response.headers.end() ? std::string_view()
+                                           : connection->second);
+  const auto length_header = response.headers.find("content-length");
+  if (length_header == response.headers.end()) {
+    // Without a length the body runs to the end of the stream.
+    while (true) {
+      const int got = read_some(&error);
+      if (got < 0) return error;
+      if (got == 0) break;
+      if (raw.size() > kMaxResponseBytes) {
+        return Status::OutOfRange("response too large");
+      }
+    }
+    response.body = raw.substr(body_start);
+    return response;
+  }
+  char* end = nullptr;
+  const unsigned long long length =
+      std::strtoull(length_header->second.c_str(), &end, 10);
+  if (end == length_header->second.c_str() || *end != '\0') {
+    return Status::DataLoss("malformed Content-Length");
+  }
+  if (length > kMaxResponseBytes) {
+    return Status::OutOfRange("response too large");
+  }
+  while (raw.size() - body_start < length) {
+    const int got = read_some(&error);
+    if (got < 0) return error;
+    if (got == 0) return Status::DataLoss("connection closed mid-body");
+  }
+  // Bytes past the body were never asked for: the stream is out of step.
+  reusable_ = keep_alive && server_keeps && raw.size() - body_start == length;
+  response.body = raw.substr(body_start, length);
   return response;
+}
+
+StatusOr<HttpClientResponse> HttpGet(uint16_t port, std::string_view target,
+                                     int timeout_ms) {
+  GRAFT_ASSIGN_OR_RETURN(std::unique_ptr<HttpConnection> connection,
+                         HttpConnection::Open(port, timeout_ms));
+  return connection->Get(target, /*keep_alive=*/false);
 }
 
 }  // namespace graft::server

@@ -1,17 +1,31 @@
 // The HTTP service skeleton shared by graft_server (server::SearchService)
-// and graft_router (router::RouterService). It owns the listener, the accept
+// and graft_router (router::RouterService). It owns the listener, the poller
 // thread, the handler pool, admission, drain and the request-outcome
 // counters; a service supplies only a Handler that maps a parsed request
 // to a Response.
 //
 // Concurrency model (DESIGN.md §2c):
-//   * one blocking accept thread; each accepted connection is one request
-//     (Connection: close) handled as a task on a common::ThreadPool;
-//   * admission control is connection-level: an atomic in-flight count
+//   * connections are persistent (HTTP/1.1 keep-alive). One poller thread
+//     epolls the listener, every idle connection and an eventfd that
+//     Shutdown() wakes it with. Idle connections are armed EPOLLONESHOT,
+//     so a connection is either idle in the poller or owned by exactly
+//     one worker. A new connection starts idle; a readable one carries
+//     one request, which is admitted and handed to a common::ThreadPool
+//     worker;
+//   * after writing the response the worker re-arms the connection, or
+//     closes it when the request said Connection: close, was HTTP/1.0
+//     without keep-alive, was malformed or not a GET, arrived with
+//     pipelined bytes behind it, or the service is stopping; the
+//     response's Connection header says which;
+//   * the poller closes a connection idle for io_timeout_ms; a client
+//     that closes between requests is closed silently (no request, no
+//     count);
+//   * admission control is request-level: an atomic in-flight count
 //     (running + queued handlers) is capped at max_inflight, and a
-//     connection over the cap gets an immediate 503 written from the
-//     accept thread — the pool queue can never grow beyond max_inflight,
-//     so overload degrades into fast rejections, not latency collapse;
+//     request over the cap gets an immediate 503 written from the poller
+//     and its connection closed — an idle connection holds no slot, and
+//     the pool queue can never grow beyond max_inflight, so overload
+//     degrades into fast rejections, not latency collapse;
 //   * per-request deadlines are measured from admission: the handler is
 //     told how long the request queued, so a request whose deadline
 //     elapsed while queued is answered 504 without doing the work, and
@@ -20,12 +34,13 @@
 //   * only GET is served (405 otherwise, before the handler runs);
 //   * 503 and 504 responses carry a Retry-After header so well-behaved
 //     clients back off instead of hammering an overloaded server;
-//   * every connection runs read -> handler -> count -> write -> close:
-//     a response is counted before it is written, on the 503 path too, so
-//     a client that has read a response sees it on /stats;
-//   * Shutdown() stops accepting, drains every admitted request to a
-//     written response, then joins the pool — in-flight work is never
-//     dropped (SIGINT/SIGTERM in graft_server/graft_router map to this).
+//   * every request runs read -> handler -> count -> write -> re-arm or
+//     close: a response is counted before it is written, on the 503 path
+//     too, so a client that has read a response sees it on /stats;
+//   * Shutdown() stops accepting, closes idle connections at once, drains
+//     every admitted request to a written response (with Connection:
+//     close), then joins the pool — in-flight work is never dropped
+//     (SIGINT/SIGTERM in graft_server/graft_router map to this).
 
 #ifndef GRAFT_SERVER_HTTP_SERVICE_H_
 #define GRAFT_SERVER_HTTP_SERVICE_H_
@@ -35,11 +50,13 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <unordered_map>
 
 #include "common/status.h"
 #include "common/thread_pool.h"
@@ -57,8 +74,8 @@ struct HttpServiceOptions {
   uint16_t port = 0;
   // Handler pool workers. 0 = hardware concurrency.
   size_t handler_threads = 0;
-  // Admission cap: max connections admitted but not yet answered
-  // (queued + executing). Beyond it, connections get an immediate 503.
+  // Admission cap: max requests admitted but not yet answered
+  // (queued + executing). Beyond it, requests get an immediate 503.
   size_t max_inflight = 64;
   // Deadline applied when the client sends no deadline_ms; client values
   // are clamped to max_deadline_ms.
@@ -67,7 +84,8 @@ struct HttpServiceOptions {
   // k applied when the client sends no k (0 = all matching documents).
   size_t default_top_k = 10;
   size_t max_top_k = 10000;
-  // Per-connection socket send/receive timeout.
+  // Per-connection socket send/receive timeout, and how long a
+  // keep-alive connection may sit idle before the service closes it.
   int io_timeout_ms = 5000;
   // Seconds advertised in the Retry-After header of 503/504 responses.
   unsigned retry_after_s = 1;
@@ -112,10 +130,13 @@ struct OutcomeNames {
 // The request-outcome counters both services keep. They are disjoint:
 // responses_ok + client_errors + server_errors + rejected_overload +
 // deadline_exceeded == requests_total once all in-flight requests have
-// drained. Relaxed atomics throughout: /stats is an observability
-// snapshot, not an invariant.
+// drained. connections_accepted stands apart: requests_total /
+// connections_accepted is how many requests a connection carried.
+// Relaxed atomics throughout: /stats is an observability snapshot, not an
+// invariant.
 struct RequestOutcomes {
-  std::atomic<uint64_t> requests_total{0};     // connections accepted
+  std::atomic<uint64_t> requests_total{0};     // requests received
+  std::atomic<uint64_t> connections_accepted{0};
   std::atomic<uint64_t> responses_ok{0};       // 2xx
   std::atomic<uint64_t> client_errors{0};      // 4xx
   std::atomic<uint64_t> server_errors{0};      // 5xx except 503/504
@@ -180,11 +201,12 @@ class HttpService {
   HttpService& operator=(const HttpService&) = delete;
 
   // Binds the listener (failing fast when the port is taken) and starts
-  // the accept thread + handler pool.
+  // the poller thread + handler pool.
   Status Start();
 
-  // Stops accepting, drains all admitted requests, joins every thread.
-  // Idempotent; called by the destructor if still running.
+  // Stops accepting, closes idle connections, drains all admitted
+  // requests, joins every thread. Idempotent; called by the destructor if
+  // still running.
   void Shutdown();
 
   // Valid after Start(); the actual bound port.
@@ -197,8 +219,22 @@ class HttpService {
   uint64_t uptime_s() const { return MicrosSince(started_at_) / 1000000; }
 
  private:
-  void AcceptLoop();
-  void HandleConnection(int fd, Clock::time_point admitted);
+  struct IdleConnection {
+    int fd;
+    Clock::time_point since;
+  };
+
+  void PollLoop();
+  void AcceptPending();
+  // Admits the request on a readable connection, or answers it 503.
+  void Dispatch(int fd);
+  void ServeRequest(int fd, Clock::time_point admitted);
+  // Hands `fd` to the poller as idle (`added` for a new connection), or
+  // closes it once the poller has stopped.
+  void WatchIdle(int fd, bool added);
+  // Milliseconds until the oldest idle connection times out.
+  int NextIdleTimeoutMs();
+  void CloseExpiredIdle();
   // Ends one admission; the last one out wakes Shutdown's drain.
   void Release();
 
@@ -216,9 +252,18 @@ class HttpService {
   std::mutex drain_mu_;
   std::condition_variable drain_cv_;
 
+  int epoll_fd_ = -1;
+  int wake_fd_ = -1;  // eventfd: Shutdown() wakes the poller
+  // Idle connections, oldest first (they all share io_timeout_ms), indexed
+  // by fd. Workers add, the poller removes.
+  std::mutex idle_mu_;
+  std::list<IdleConnection> idle_;
+  std::unordered_map<int, std::list<IdleConnection>::iterator> idle_index_;
+  bool poller_stopped_ = false;  // guarded by idle_mu_
+
   // Last: their threads use every member above.
   std::unique_ptr<common::ThreadPool> pool_;
-  std::thread accept_thread_;
+  std::thread poller_;
 };
 
 }  // namespace graft::server

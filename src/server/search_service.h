@@ -142,7 +142,7 @@ class SearchService {
   SearchService(const SearchService&) = delete;
   SearchService& operator=(const SearchService&) = delete;
 
-  // Binds the listener and starts the accept thread + handler pool.
+  // Binds the listener and starts the poller thread + handler pool.
   Status Start();
 
   // Stops accepting, drains all admitted requests, joins every thread.

@@ -1,6 +1,7 @@
 // ShardClient retry discipline against live stub replicas: retries with
 // budget-bounded backoff, round-robin failover, ejection after consecutive
-// failures, probe-driven readmission, and the 4xx-is-an-answer rule.
+// failures, probe-driven readmission, the 4xx-is-an-answer rule, and
+// pooled keep-alive connections that survive a shard restart.
 
 #include "router/shard_client.h"
 
@@ -16,6 +17,7 @@
 #include <thread>
 
 #include "server/http.h"
+#include "server/http_service.h"
 
 namespace graft::router {
 namespace {
@@ -253,6 +255,64 @@ TEST(ShardClientTest, AllEjectedStillAttemptsLastResort) {
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(client.counters().attempts.load(), 2u);
   EXPECT_EQ(server.requests(), 2u);
+}
+
+// A keep-alive replica: the real HttpService skeleton answering 200.
+std::unique_ptr<server::HttpService> KeepAliveReplica(
+    uint16_t port, server::RequestOutcomes* outcomes) {
+  server::HttpServiceOptions options;
+  options.port = port;
+  options.handler_threads = 2;
+  auto service = std::make_unique<server::HttpService>(
+      options, outcomes, [](const server::HttpRequest&, uint64_t) {
+        server::Response response;
+        response.body = "{\"pong\":true}";
+        return response;
+      });
+  EXPECT_TRUE(service->Start().ok());
+  return service;
+}
+
+TEST(ShardClientTest, SequentialGetsShareOneConnection) {
+  server::RequestOutcomes outcomes;
+  auto replica = KeepAliveReplica(0, &outcomes);
+  ShardClient client(0, {replica->port()}, FastOptions(), 1);
+  for (int i = 0; i < 5; ++i) {
+    auto reply = client.Get("/ping", 5000);
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    EXPECT_EQ(reply->status_code, 200);
+  }
+  EXPECT_EQ(client.counters().connections_opened.load(), 1u);
+  EXPECT_EQ(client.counters().attempts.load(), 5u);
+  EXPECT_EQ(outcomes.connections_accepted.load(), 1u);
+  EXPECT_EQ(outcomes.requests_total.load(), 5u);
+}
+
+TEST(ShardClientTest, RestartedShardIsNotAFailure) {
+  server::RequestOutcomes before;
+  auto replica = KeepAliveReplica(0, &before);
+  const uint16_t port = replica->port();
+  // One attempt, ejected on the first failure: a stale pooled connection
+  // counted as a failure would fail the Get and eject the replica.
+  ShardClientOptions options = FastOptions();
+  options.max_attempts = 1;
+  options.eject_after = 1;
+  ShardClient client(0, {port}, options, 1);
+  ASSERT_TRUE(client.Get("/ping", 5000).ok());
+
+  replica->Shutdown();  // closes the pooled connection's server side
+  server::RequestOutcomes after;
+  replica = KeepAliveReplica(port, &after);
+  size_t attempts = 0;
+  auto reply = client.Get("/ping", 5000, &attempts);
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_EQ(reply->status_code, 200);
+  EXPECT_EQ(attempts, 1u);
+  EXPECT_EQ(client.counters().failures.load(), 0u);
+  EXPECT_EQ(client.counters().ejections.load(), 0u);
+  EXPECT_FALSE(client.replica_ejected(0));
+  EXPECT_EQ(client.counters().connections_opened.load(), 2u);
+  EXPECT_EQ(after.requests_total.load(), 1u);
 }
 
 }  // namespace

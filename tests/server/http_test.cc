@@ -1,6 +1,7 @@
 // HTTP plumbing units: URL decoding, request-head parsing (including the
 // hardening paths — every malformed input must come back as a Status),
-// response serialization, and JSON escaping.
+// response serialization, JSON escaping, and the keep-alive rules on both
+// ends of a connection (WantsKeepAlive, ReadRequest, HttpConnection).
 
 #include "server/http.h"
 
@@ -13,6 +14,7 @@
 
 #include <string>
 #include <thread>
+#include <vector>
 
 namespace graft::server {
 namespace {
@@ -203,6 +205,123 @@ TEST(SendAllTest, PeerClosingMidResponseDoesNotKillTheProcess) {
   server.join();
   // The process is alive to run this line — SIGPIPE did not fire.
   SUCCEED();
+}
+
+TEST(WantsKeepAliveTest, VersionAndConnectionHeader) {
+  const auto wants = [](const char* head) {
+    auto request = ParseRequestHead(head);
+    EXPECT_TRUE(request.ok()) << head;
+    return request.ok() && WantsKeepAlive(*request);
+  };
+  EXPECT_TRUE(wants("GET /x HTTP/1.1\r\n\r\n"));
+  EXPECT_FALSE(wants("GET /x HTTP/1.1\r\nConnection: close\r\n\r\n"));
+  EXPECT_FALSE(wants("GET /x HTTP/1.1\r\nConnection: Upgrade, CLOSE\r\n\r\n"));
+  EXPECT_FALSE(wants("GET /x HTTP/1.0\r\n\r\n"));
+  EXPECT_TRUE(wants("GET /x HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n"));
+}
+
+TEST(SerializeResponseTest, KeepAliveSaysSo) {
+  EXPECT_NE(SerializeResponse(200, "text/plain", "", "", /*keep_alive=*/true)
+                .find("\r\nConnection: keep-alive\r\n"),
+            std::string::npos);
+}
+
+// Serves each of `replies` (raw bytes) on one accepted connection, one per
+// request read, then closes it.
+void ServeRaw(TcpListener* listener, std::vector<std::string> replies) {
+  auto fd = listener->Accept(2000);
+  ASSERT_TRUE(fd.ok()) << fd.status();
+  for (const std::string& reply : replies) {
+    if (!ReadRequest(*fd).ok()) break;
+    ASSERT_TRUE(SendAll(*fd, reply).ok());
+  }
+  ::close(*fd);
+}
+
+TEST(HttpConnectionTest, ReadsByContentLengthAndHonoursClose) {
+  TcpListener listener;
+  ASSERT_TRUE(listener.Bind(0).ok());
+  std::thread server(ServeRaw, &listener, std::vector<std::string>{
+      SerializeResponse(200, "text/plain", "one", "", /*keep_alive=*/true),
+      SerializeResponse(404, "text/plain", "two", "", /*keep_alive=*/false)});
+  auto connection = HttpConnection::Open(listener.port(), 2000);
+  ASSERT_TRUE(connection.ok()) << connection.status();
+  auto first = (*connection)->Get("/a", /*keep_alive=*/true);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(first->status_code, 200);
+  EXPECT_EQ(first->body, "one");
+  EXPECT_TRUE((*connection)->reusable());
+  auto second = (*connection)->Get("/b", /*keep_alive=*/true);
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(second->status_code, 404);
+  EXPECT_EQ(second->body, "two");
+  EXPECT_FALSE((*connection)->reusable());  // the server said close
+  server.join();
+}
+
+TEST(HttpConnectionTest, ReportsAPeerThatClosedBeforeReplying) {
+  TcpListener listener;
+  ASSERT_TRUE(listener.Bind(0).ok());
+  std::thread server(ServeRaw, &listener, std::vector<std::string>{
+      SerializeResponse(200, "text/plain", "one", "", /*keep_alive=*/true)});
+  auto connection = HttpConnection::Open(listener.port(), 2000);
+  ASSERT_TRUE(connection.ok()) << connection.status();
+  ASSERT_TRUE((*connection)->Get("/a", /*keep_alive=*/true).ok());
+  server.join();  // the server closed the connection after one reply
+  bool peer_closed = false;
+  auto stale = (*connection)->Get("/b", /*keep_alive=*/true, &peer_closed);
+  EXPECT_FALSE(stale.ok());
+  EXPECT_TRUE(peer_closed);
+  EXPECT_FALSE((*connection)->reusable());
+}
+
+TEST(HttpConnectionTest, BytesPastTheBodyStopReuse) {
+  TcpListener listener;
+  ASSERT_TRUE(listener.Bind(0).ok());
+  std::thread server(ServeRaw, &listener, std::vector<std::string>{
+      SerializeResponse(200, "text/plain", "one", "", /*keep_alive=*/true) +
+      "junk"});
+  auto connection = HttpConnection::Open(listener.port(), 2000);
+  ASSERT_TRUE(connection.ok()) << connection.status();
+  auto reply = (*connection)->Get("/a", /*keep_alive=*/true);
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_EQ(reply->body, "one");
+  // "junk" arrived with the reply (one send on loopback): the stream is
+  // out of step, so the connection must not carry another request.
+  EXPECT_FALSE((*connection)->reusable());
+  server.join();
+}
+
+TEST(ReadRequestTest, ReportsCleanCloseAndPipelinedBytes) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ASSERT_TRUE(
+      SendAll(fds[1], "GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n").ok());
+  ::shutdown(fds[1], SHUT_WR);
+  ReadRequestInfo info;
+  auto first = ReadRequest(fds[0], &info);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(first->path, "/a");
+  EXPECT_TRUE(info.bytes_past_head);
+  EXPECT_FALSE(info.closed_before_request);
+  auto after = ReadRequest(fds[0], &info);  // the rest was consumed
+  EXPECT_FALSE(after.ok());
+  EXPECT_TRUE(info.closed_before_request);
+  ::close(fds[0]);
+  ::close(fds[1]);
+}
+
+TEST(ReadRequestTest, RejectsRequestBodies) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ASSERT_TRUE(SendAll(fds[1],
+                      "GET /a HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n")
+                  .ok());
+  auto request = ReadRequest(fds[0]);
+  EXPECT_FALSE(request.ok());
+  EXPECT_EQ(request.status().code(), StatusCode::kInvalidArgument);
+  ::close(fds[0]);
+  ::close(fds[1]);
 }
 
 }  // namespace

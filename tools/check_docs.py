@@ -8,12 +8,14 @@ Fails (exit 1) when the reference pages under docs/ fall behind the code:
   * every Prometheus metric name exported by src/server/search_service.cc
     (any "graft_..." name inside a string literal), plus every shared
     request-outcome series src/server/http_service.cc builds from the
-    service's OutcomeNames prefix, must appear in docs/operations.md;
+    service's OutcomeNames prefix, must appear in docs/operations.md, and
+    every metric a docs/operations.md table row names must be exported;
   * every command-line flag graft_server parses (arg == "--flag" in
     tools/graft_server.cc) must appear in docs/operations.md;
   * likewise for the router: every "graft_..." metric name in
     src/router/router_service.cc, its prefixed outcome series, and every
-    flag graft_router parses must appear in docs/distributed.md;
+    flag graft_router parses must appear in docs/distributed.md (and the
+    reverse for its metric table rows);
   * docs/index-format.md (the normative on-disk spec) must agree with
     src/index/index_format.h: every kFmt* constant's value, every
     FmtV5Section enum entry at its index, both struct sizes asserted by
@@ -120,12 +122,24 @@ def service_metrics(sources):
     return sorted(names)
 
 
+# A metric table row: its first cell is the backticked metric name, with
+# any {label=...} suffix.
+DOC_METRIC_ROW = re.compile(r"^\|\s*`(graft_[a-z0-9_]*[a-z0-9])[`{]", re.MULTILINE)
+
+
 def check_metrics(ops_text, metric_names, page="docs/operations.md"):
-    return [
+    errors = [
         f"{page} does not document exported metric {name}"
         for name in metric_names
         if name not in ops_text
     ]
+    exported = set(metric_names)
+    errors += [
+        f"{page} documents metric {name}, which the code does not export"
+        for name in sorted(set(DOC_METRIC_ROW.findall(ops_text)))
+        if name not in exported
+    ]
+    return errors
 
 
 # ---- check 3: operations page lists every graft_server flag --------------
@@ -287,6 +301,10 @@ def self_test():
         mutated = ops.replace(name, name.replace("_total", "_renamed"))
         if not check_metrics(mutated, metrics):
             failures.append(f"metrics check missed a removed {name} row")
+    # A stale row: documented, no longer exported.
+    stale = "| `graft_stale_metric_total` | counter | gone |\n"
+    if not check_metrics(ops + stale, metrics):
+        failures.append("metrics check missed a stale graft_ row")
     if check_metrics(ops, metrics):
         failures.append("metrics check fails on the real docs")
 
@@ -310,6 +328,9 @@ def self_test():
         mutated = dist.replace(name, name.replace("_total", "_renamed"))
         if not check_metrics(mutated, router_metrics, page="docs/distributed.md"):
             failures.append(f"router metrics check missed a removed {name} row")
+    stale = "| `graft_router_stale_total{shard=...}` | counter | gone |\n"
+    if not check_metrics(dist + stale, router_metrics, page="docs/distributed.md"):
+        failures.append("router metrics check missed a stale graft_router_ row")
     if check_metrics(dist, router_metrics, page="docs/distributed.md"):
         failures.append("router metrics check fails on the real docs")
 
